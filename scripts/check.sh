@@ -7,8 +7,7 @@
 # thread-safe registries (-DMBTA_SANITIZE=thread -DMBTA_OBS_THREADSAFE=ON).
 # The TSan leg is what exercises cancellation from a second thread with
 # both threads writing shared counters, plus the parallel solve path:
-# ThreadPool, the parallel Hopcroft-Karp BFS, and a slice of the
-# cross-thread-count determinism sweep. A CLI smoke step checks the
+# ThreadPool and a slice of the cross-thread-count determinism sweep. A CLI smoke step checks the
 # mbta_cli exit-code taxonomy (0 ok / 1 usage / 2 bad input / 3 degraded)
 # end-to-end against the plain build, a bench gate diffs a fresh
 # smoke-suite run's counters against the committed BENCH_ci.json, and a
@@ -244,7 +243,7 @@ if require_sanitizer thread; then
         --target obs_threads_test obs_test json_writer_test \
                  histogram_test trace_test \
                  deadline_test fault_injection_test fallback_solver_test \
-                 cancellation_test thread_pool_test hopcroft_karp_test \
+                 cancellation_test thread_pool_test \
                  differential_test \
                  wal_test snapshot_test market_service_test \
                  service_recovery_test wal_fuzz_test \
@@ -258,12 +257,11 @@ if require_sanitizer thread; then
   # concurrent slice spans.
   build-tsan/tests/histogram_test
   build-tsan/tests/trace_test
-  # The parallel-solve path under TSan: the pool's handoff protocol, the
-  # parallel BFS layer expansion, and a slice of the cross-thread-count
-  # determinism sweep (instances 10-19 — the full 100 would take minutes
-  # under TSan; any data race shows up within a handful of instances).
+  # The parallel-solve path under TSan: the pool's handoff protocol and
+  # a slice of the cross-thread-count determinism sweep (instances 10-19
+  # — the full 100 would take minutes under TSan; any data race shows up
+  # within a handful of instances).
   build-tsan/tests/thread_pool_test
-  build-tsan/tests/hopcroft_karp_test
   build-tsan/tests/differential_test \
       --gtest_filter='*ParallelDeterminismTest*/1?'
   # The service suite rides along: single-threaded today, but the WAL /

@@ -21,8 +21,8 @@ struct SolveOptions {
   /// assignment, with SolveStats::deadline_hit set.
   DeadlineBudget budget;
 
-  /// Worker threads for solvers with a parallel path (ParallelGreedySolver,
-  /// the Hopcroft–Karp BFS inside the matching baselines). Values < 1 are
+  /// Worker threads for solvers with a parallel path
+  /// (ParallelGreedySolver). Values < 1 are
   /// clamped to 1; serial solvers ignore it. The determinism contract
   /// (CONTRIBUTING.md, "Parallelism"): the returned assignment and every
   /// published counter are byte-identical at any thread count — threads

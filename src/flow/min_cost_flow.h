@@ -3,9 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "flow/bucket_queue.h"
 #include "util/deadline.h"
 
 namespace mbta {
@@ -81,46 +81,71 @@ class MinCostFlow {
   /// Work counters of the last solve call (zeros before any solve).
   const Stats& stats() const { return stats_; }
 
-  std::size_t num_nodes() const { return head_.size(); }
+  std::size_t num_nodes() const { return num_nodes_; }
 
  private:
-  struct Arc {
-    std::size_t to;
-    std::size_t rev;
-    std::int64_t capacity;  // residual
+  /// An AddArc call, kept until the solve freezes the arc set.
+  struct PendingArc {
+    std::uint32_t from;
+    std::uint32_t to;
+    std::int64_t capacity;
     std::int64_t cost;
   };
 
   Result Run(std::size_t source, std::size_t sink, std::int64_t flow_limit,
              bool stop_at_nonnegative);
-  /// Flattens head_ into csr_off_/csr_arc_ (order preserved). Called once
-  /// per solve, after which the arc set is frozen.
+  /// Counting-sorts pending_ into the CSR arc store (each node's arcs in
+  /// AddArc order, forward and reverse interleaved as they were added)
+  /// and frees pending_. Called once per solve, after which the arc set
+  /// is frozen.
   void BuildCsr();
   void InitPotentials(std::size_t source);
   /// One Dijkstra over reduced costs; fills dist_/prev_arc_. Returns true
   /// if the sink is reachable.
   bool ShortestPath(std::size_t source, std::size_t sink);
+  /// Dijkstra frontier: adds `v` at tentative key `key` (>= level_key_).
+  void Enqueue(std::uint32_t v, std::int64_t key);
+  /// Pops the frontier minimum by (key, node id), refilling the level
+  /// bitset from the heap when it runs dry. False once nothing is left.
+  bool PopMin(std::uint32_t* v);
 
-  std::vector<std::vector<std::size_t>> head_;
-  std::vector<Arc> arcs_;
-  std::vector<std::int64_t> initial_capacity_;
-  std::vector<std::size_t> forward_index_;
+  std::size_t num_nodes_ = 0;
+  std::vector<PendingArc> pending_;
 
-  // CSR copy of head_, built by BuildCsr(): node v's residual arcs are
-  // csr_arc_[csr_off_[v]..csr_off_[v+1]), in head_[v] order. One flat
-  // cache-friendly stream for the Dijkstra/Bellman–Ford inner loops
-  // instead of a pointer chase through per-node vectors.
-  std::vector<std::uint32_t> csr_off_;
-  std::vector<std::uint32_t> csr_arc_;
+  // CSR arc store in SoA form, built by BuildCsr(): node v's residual arcs
+  // are positions [off_[v], off_[v+1]). rev_[i] is the position of arc
+  // i's partner, so the tail of arc i is to_[rev_[i]]. arc_pos_ maps an
+  // ArcId to the position of its forward arc; the reverse arc's residual
+  // capacity is exactly the flow routed on it.
+  std::vector<std::uint32_t> off_;
+  std::vector<std::uint32_t> to_;
+  std::vector<std::uint32_t> rev_;
+  std::vector<std::int64_t> cap_;
+  std::vector<std::int64_t> cost_;
+  std::vector<std::uint32_t> arc_pos_;
 
   std::vector<std::int64_t> potential_;
   std::vector<std::int64_t> dist_;
-  std::vector<std::size_t> prev_arc_;
-  // Dijkstra frontier, reused across runs (drained empty by each run).
-  BucketQueue queue_;
-  // Bellman–Ford (SPFA) FIFO for InitPotentials, reused across runs: a
-  // flat vector drained through a head cursor so warm runs never touch
-  // the heap once capacity has grown to the high-water mark.
+  std::vector<std::uint32_t> prev_arc_;  // CSR position of the tree arc
+
+  // Dijkstra frontier, reused across runs. Pops in exactly the order of a
+  // lazy std::priority_queue<pair<int64, node>, ..., std::greater<>>:
+  // ascending key, then ascending node id among equal keys. Nodes whose
+  // tentative key equals the current minimum (level_key_) sit in a dense
+  // bitset, popped lowest id first (level_cursor_ is a word index no
+  // larger than the lowest set bit's); every other tentative node has an
+  // entry in a lazy binary heap. An entry is live while its key still
+  // equals dist_ of its node; heap_live_ counts the live ones.
+  std::vector<std::uint64_t> level_bits_;
+  std::size_t level_cursor_ = 0;
+  std::size_t level_size_ = 0;
+  std::int64_t level_key_ = 0;
+  std::vector<std::pair<std::int64_t, std::uint32_t>> heap_;
+  std::size_t heap_live_ = 0;
+
+  // Bellman–Ford (SPFA) FIFO for InitPotentials: a flat vector drained
+  // through a head cursor. A member like the other scratch, so the solve
+  // path constructs no container.
   std::vector<std::size_t> bf_queue_;
   bool has_negative_costs_ = false;
   bool solved_ = false;

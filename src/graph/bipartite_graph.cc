@@ -20,14 +20,6 @@ std::span<const Incidence> BipartiteGraph::RightNeighbors(VertexId r) const {
           right_offsets_[r + 1] - right_offsets_[r]};
 }
 
-BipartiteGraph::CsrView BipartiteGraph::LeftCsr() const {
-  return {left_offsets_, left_incidences_};
-}
-
-BipartiteGraph::CsrView BipartiteGraph::RightCsr() const {
-  return {right_offsets_, right_incidences_};
-}
-
 EdgeId BipartiteGraph::FindEdge(VertexId l, VertexId r) const {
   MBTA_CHECK(l < NumLeft() && r < NumRight());
   if (LeftDegree(l) <= RightDegree(r)) {

@@ -8,8 +8,9 @@
 ///
 /// MBTA_CHECK(cond) aborts with a diagnostic when `cond` is false. It is
 /// always on (also in release builds): the library is a research artifact
-/// whose correctness matters more than the last few percent of speed, and
-/// every check sits outside inner loops.
+/// whose correctness matters more than the last few percent of speed.
+/// Most checks sit outside inner loops; the min-cost flow's reduced-cost
+/// check runs once per scanned arc, a compare and a never-taken branch.
 #define MBTA_CHECK(cond)                                                    \
   do {                                                                      \
     if (!(cond)) {                                                          \

@@ -1,4 +1,4 @@
-#include "flow/hungarian.h"
+#include "tests/hungarian.h"
 
 #include <algorithm>
 #include <limits>

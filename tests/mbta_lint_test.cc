@@ -58,8 +58,9 @@ testing::AssertionResult Clean(const std::vector<Violation>& vs) {
 TEST(ClassifyPath, RecognizesLibraryAndSubsystem) {
   EXPECT_TRUE(ClassifyPath("src/core/solver.cc").library);
   EXPECT_EQ(ClassifyPath("src/core/solver.cc").subsystem, "core");
-  EXPECT_EQ(ClassifyPath("/abs/repo/src/flow/max_flow.h").subsystem, "flow");
-  EXPECT_TRUE(ClassifyPath("src/flow/max_flow.h").header);
+  EXPECT_EQ(ClassifyPath("/abs/repo/src/flow/min_cost_flow.h").subsystem,
+            "flow");
+  EXPECT_TRUE(ClassifyPath("src/flow/min_cost_flow.h").header);
   EXPECT_FALSE(ClassifyPath("tools/mbta_cli.cc").library);
   EXPECT_FALSE(ClassifyPath("bench/fig9.cc").library);
   EXPECT_FALSE(ClassifyPath("tests/foo_test.cc").library);

@@ -1,14 +1,23 @@
 #include "flow/min_cost_flow.h"
 
+#include <algorithm>
+#include <limits>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "flow/hungarian.h"
+#include "tests/hungarian.h"
 #include "util/rng.h"
 
 namespace mbta {
 namespace {
+
+/// Max flow through the one flow engine: zero-cost arcs, no flow limit.
+std::int64_t MaxFlowValue(MinCostFlow& mcf, std::size_t s, std::size_t t) {
+  return mcf.Solve(s, t, std::numeric_limits<std::int64_t>::max()).flow;
+}
 
 TEST(MinCostFlowTest, SingleArc) {
   MinCostFlow mcf(2);
@@ -134,6 +143,201 @@ TEST(MinCostFlowDeathTest, SolveTwiceAborts) {
 TEST(MinCostFlowDeathTest, NegativeCapacityAborts) {
   MinCostFlow mcf(2);
   EXPECT_DEATH(mcf.AddArc(0, 1, -1, 0), "MBTA_CHECK");
+}
+
+// Max-flow contract of the engine: with zero costs and no flow limit,
+// Solve ships a maximum flow.
+
+/// Reference implementation: Edmonds–Karp on an adjacency matrix.
+std::int64_t ReferenceMaxFlow(std::vector<std::vector<std::int64_t>> cap,
+                              std::size_t s, std::size_t t) {
+  const std::size_t n = cap.size();
+  std::int64_t flow = 0;
+  for (;;) {
+    std::vector<int> parent(n, -1);
+    parent[s] = static_cast<int>(s);
+    std::queue<std::size_t> q;
+    q.push(s);
+    while (!q.empty() && parent[t] < 0) {
+      const std::size_t u = q.front();
+      q.pop();
+      for (std::size_t v = 0; v < n; ++v) {
+        if (cap[u][v] > 0 && parent[v] < 0) {
+          parent[v] = static_cast<int>(u);
+          q.push(v);
+        }
+      }
+    }
+    if (parent[t] < 0) break;
+    std::int64_t push = INT64_MAX;
+    for (std::size_t v = t; v != s; v = parent[v]) {
+      push = std::min(push, cap[parent[v]][v]);
+    }
+    for (std::size_t v = t; v != s; v = parent[v]) {
+      cap[parent[v]][v] -= push;
+      cap[v][parent[v]] += push;
+    }
+    flow += push;
+  }
+  return flow;
+}
+
+TEST(MaxFlowTest, SingleArc) {
+  MinCostFlow mf(2);
+  const auto a = mf.AddArc(0, 1, 5, 0);
+  EXPECT_EQ(MaxFlowValue(mf, 0, 1), 5);
+  EXPECT_EQ(mf.Flow(a), 5);
+}
+
+TEST(MaxFlowTest, NoPathGivesZero) {
+  MinCostFlow mf(3);
+  mf.AddArc(0, 1, 10, 0);  // node 2 disconnected
+  EXPECT_EQ(MaxFlowValue(mf, 0, 2), 0);
+}
+
+TEST(MaxFlowTest, SeriesBottleneck) {
+  MinCostFlow mf(3);
+  mf.AddArc(0, 1, 10, 0);
+  mf.AddArc(1, 2, 3, 0);
+  EXPECT_EQ(MaxFlowValue(mf, 0, 2), 3);
+}
+
+TEST(MaxFlowTest, ParallelArcsAdd) {
+  MinCostFlow mf(2);
+  mf.AddArc(0, 1, 2, 0);
+  mf.AddArc(0, 1, 3, 0);
+  EXPECT_EQ(MaxFlowValue(mf, 0, 1), 5);
+}
+
+TEST(MaxFlowTest, ClassicDiamond) {
+  // CLRS-style network with a cross arc.
+  MinCostFlow mf(4);
+  mf.AddArc(0, 1, 3, 0);
+  mf.AddArc(0, 2, 2, 0);
+  mf.AddArc(1, 2, 1, 0);
+  mf.AddArc(1, 3, 2, 0);
+  mf.AddArc(2, 3, 3, 0);
+  EXPECT_EQ(MaxFlowValue(mf, 0, 3), 5);
+}
+
+TEST(MaxFlowTest, ZeroCapacityArcCarriesNothing) {
+  MinCostFlow mf(2);
+  const auto a = mf.AddArc(0, 1, 0, 0);
+  EXPECT_EQ(MaxFlowValue(mf, 0, 1), 0);
+  EXPECT_EQ(mf.Flow(a), 0);
+}
+
+TEST(MaxFlowTest, AddNodeExtendsGraph) {
+  MinCostFlow mf(1);
+  const std::size_t mid = mf.AddNode();
+  const std::size_t sink = mf.AddNode();
+  mf.AddArc(0, mid, 4, 0);
+  mf.AddArc(mid, sink, 2, 0);
+  EXPECT_EQ(MaxFlowValue(mf, 0, sink), 2);
+  EXPECT_EQ(mf.num_nodes(), 3u);
+}
+
+TEST(MaxFlowTest, FlowConservationHolds) {
+  MinCostFlow mf(5);
+  std::vector<MinCostFlow::ArcId> arcs;
+  std::vector<std::tuple<std::size_t, std::size_t>> ends = {
+      {0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 2}, {3, 4}, {2, 4}};
+  for (auto [u, v] : ends) arcs.push_back(mf.AddArc(u, v, 3, 0));
+  MaxFlowValue(mf, 0, 4);
+  std::vector<std::int64_t> net(5, 0);
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    const auto [u, v] = ends[i];
+    const std::int64_t f = mf.Flow(arcs[i]);
+    EXPECT_GE(f, 0);
+    EXPECT_LE(f, 3);
+    net[u] -= f;
+    net[v] += f;
+  }
+  EXPECT_EQ(net[1], 0);
+  EXPECT_EQ(net[2], 0);
+  EXPECT_EQ(net[3], 0);
+  EXPECT_EQ(net[0], -net[4]);
+}
+
+class RandomMaxFlowTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomMaxFlowTest, MatchesEdmondsKarp) {
+  Rng rng(GetParam() * 7919 + 3);
+  const std::size_t n = 2 + rng.NextBounded(8);
+  std::vector<std::vector<std::int64_t>> cap(
+      n, std::vector<std::int64_t>(n, 0));
+  MinCostFlow mf(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (u != v && rng.NextBool(0.4)) {
+        const std::int64_t c = static_cast<std::int64_t>(rng.NextBounded(10));
+        cap[u][v] += c;
+        mf.AddArc(u, v, c, 0);
+      }
+    }
+  }
+  EXPECT_EQ(MaxFlowValue(mf, 0, n - 1), ReferenceMaxFlow(cap, 0, n - 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomMaxFlowTest, ::testing::Range(0, 30));
+
+/// Reference maximum bipartite matching: Kuhn's augmenting paths.
+bool KuhnAugment(const std::vector<std::vector<std::size_t>>& adj,
+                 std::size_t l, std::vector<int>& right_match,
+                 std::vector<bool>& seen) {
+  for (std::size_t r : adj[l]) {
+    if (seen[r]) continue;
+    seen[r] = true;
+    if (right_match[r] < 0 ||
+        KuhnAugment(adj, static_cast<std::size_t>(right_match[r]),
+                    right_match, seen)) {
+      right_match[r] = static_cast<int>(l);
+      return true;
+    }
+  }
+  return false;
+}
+
+class RandomMatchingTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomMatchingTest, SizeAgreesWithMaxFlow) {
+  Rng rng(GetParam() * 911 + 5);
+  const std::size_t nl = 1 + rng.NextBounded(15);
+  const std::size_t nr = 1 + rng.NextBounded(15);
+  std::vector<std::vector<std::size_t>> adj(nl);
+  MinCostFlow mf(nl + nr + 2);
+  const std::size_t src = nl + nr, snk = nl + nr + 1;
+  for (std::size_t l = 0; l < nl; ++l) mf.AddArc(src, l, 1, 0);
+  for (std::size_t r = 0; r < nr; ++r) mf.AddArc(nl + r, snk, 1, 0);
+  for (std::size_t l = 0; l < nl; ++l) {
+    for (std::size_t r = 0; r < nr; ++r) {
+      if (rng.NextBool(0.25)) {
+        adj[l].push_back(r);
+        mf.AddArc(l, nl + r, 1, 0);
+      }
+    }
+  }
+  std::vector<int> right_match(nr, -1);
+  std::int64_t size = 0;
+  for (std::size_t l = 0; l < nl; ++l) {
+    std::vector<bool> seen(nr, false);
+    if (KuhnAugment(adj, l, right_match, seen)) ++size;
+  }
+  EXPECT_EQ(size, MaxFlowValue(mf, src, snk));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomMatchingTest, ::testing::Range(0, 30));
+
+TEST(MaxFlowDeathTest, SolveTwiceAborts) {
+  MinCostFlow mf(2);
+  mf.AddArc(0, 1, 1, 0);
+  MaxFlowValue(mf, 0, 1);
+  EXPECT_DEATH(MaxFlowValue(mf, 0, 1), "MBTA_CHECK");
+}
+
+TEST(MaxFlowDeathTest, NegativeCapacityAborts) {
+  MinCostFlow mf(2);
+  EXPECT_DEATH(mf.AddArc(0, 1, -1, 0), "MBTA_CHECK");
 }
 
 }  // namespace
