@@ -247,7 +247,8 @@ if require_sanitizer thread; then
                  differential_test \
                  wal_test snapshot_test market_service_test \
                  service_recovery_test wal_fuzz_test \
-                 service_differential_test
+                 service_differential_test state_serializer_test \
+                 market_assembly_test
   build-tsan/tests/obs_threads_test
   build-tsan/tests/obs_test
   build-tsan/tests/json_writer_test

@@ -27,15 +27,45 @@ struct RepairStats {
   std::size_t edges_dropped = 0;     ///< previously-assigned edges shed
 };
 
+/// Endpoints a refill must leave alone: candidates touching the banned
+/// worker or task are skipped without being evaluated (kNoBan = none).
+/// The removal paths ban the departed entity from its own backfill.
+inline constexpr VertexId kNoBan = static_cast<VertexId>(-1);
+struct RefillBans {
+  WorkerId worker = kNoBan;
+  TaskId task = kNoBan;
+};
+
+/// One gain evaluation of a refill scan: the candidate and its marginal
+/// gain, bit-identical to ObjectiveState::MarginalGain at that moment.
+struct RefillEvaluation {
+  EdgeId edge;
+  double gain;
+};
+
 /// Greedily adds the best positive-marginal feasible edge from
-/// `candidates` until none improves. Candidates may contain duplicates
-/// and already-chosen edges (both are skipped); scan order is the order
-/// given, so callers sort for determinism. Charges `gate` one work unit
-/// per gain evaluation when non-null and stops early once the gate
-/// trips — the state is feasible at every step, so an interrupted refill
-/// is still a valid (if less repaired) answer.
+/// `candidates` until none improves: each pass scans the candidates in
+/// the order given (callers sort for determinism), evaluates every one
+/// that is not banned and passes CanAdd, and commits the first edge of
+/// the highest gain. Already-chosen candidates fail CanAdd and cost
+/// nothing; a duplicated candidate is evaluated, counted and charged
+/// once per copy on every pass until it is added or stops fitting.
+/// Charges `gate` one work unit before each gain evaluation when
+/// non-null and stops early once the gate trips — the state is feasible
+/// at every step, so an interrupted refill is still a valid (if less
+/// repaired) answer. When `evaluations` is non-null, every evaluation is
+/// appended to it in scan order.
+///
+/// The scan does exactly the plain loop's work — same evaluations in the
+/// same order, same gains to the bit — at a lower constant: candidates
+/// that fail CanAdd or a ban are compacted out of the live list for
+/// good (loads and the chosen set only grow inside one refill), each
+/// task's requester term is computed once per pass, and each run of
+/// same-worker candidates sorts the worker's chosen benefits once.
 void GreedyRefill(ObjectiveState& state, const std::vector<EdgeId>& candidates,
-                  RepairStats* stats = nullptr, DeadlineGate* gate = nullptr);
+                  RepairStats* stats = nullptr, DeadlineGate* gate = nullptr,
+                  RefillBans bans = {},
+                  std::vector<RefillEvaluation>* evaluations = nullptr);
 
 /// Worker `w` leaves the platform: drop all of its assignments, then
 /// greedily refill the capacity slack this opened on the affected tasks

@@ -1,7 +1,7 @@
 #include "graph/bipartite_graph.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -38,6 +38,21 @@ BipartiteGraphBuilder::BipartiteGraphBuilder(std::size_t num_left,
                                              std::size_t num_right)
     : num_left_(num_left), num_right_(num_right) {}
 
+BipartiteGraphBuilder::BipartiteGraphBuilder(std::size_t num_left,
+                                             std::size_t num_right,
+                                             std::vector<VertexId> lefts,
+                                             std::vector<VertexId> rights)
+    : num_left_(num_left),
+      num_right_(num_right),
+      lefts_(std::move(lefts)),
+      rights_(std::move(rights)) {
+  MBTA_CHECK(lefts_.size() == rights_.size());
+  for (std::size_t e = 0; e < lefts_.size(); ++e) {
+    MBTA_CHECK(lefts_[e] < num_left_);
+    MBTA_CHECK(rights_[e] < num_right_);
+  }
+}
+
 EdgeId BipartiteGraphBuilder::AddEdge(VertexId left, VertexId right) {
   MBTA_CHECK(left < num_left_);
   MBTA_CHECK(right < num_right_);
@@ -48,53 +63,57 @@ EdgeId BipartiteGraphBuilder::AddEdge(VertexId left, VertexId right) {
 }
 
 BipartiteGraph BipartiteGraphBuilder::Build() {
-  // Reject duplicates: sort packed (left, right) keys and look for an
-  // adjacent repeat — O(E log E), no hash container involved.
-  {
-    std::vector<std::uint64_t> keys(lefts_.size());
-    for (std::size_t e = 0; e < lefts_.size(); ++e) {
-      keys[e] = (static_cast<std::uint64_t>(lefts_[e]) << 32) | rights_[e];
-    }
-    std::sort(keys.begin(), keys.end());
-    const auto dup = std::adjacent_find(keys.begin(), keys.end());
-    MBTA_CHECK_MSG(dup == keys.end(), "duplicate edge (%u, %u)",
-                   static_cast<VertexId>(*dup >> 32),
-                   static_cast<VertexId>(*dup & 0xffffffffu));
-  }
-
   BipartiteGraph g;
-  g.edge_left_ = lefts_;
-  g.edge_right_ = rights_;
+  g.edge_left_ = std::move(lefts_);
+  g.edge_right_ = std::move(rights_);
+  const std::vector<VertexId>& lefts = g.edge_left_;
+  const std::vector<VertexId>& rights = g.edge_right_;
 
   // Counting sort into CSR, left side.
   g.left_offsets_.assign(num_left_ + 1, 0);
-  for (VertexId l : lefts_) ++g.left_offsets_[l + 1];
+  for (VertexId l : lefts) ++g.left_offsets_[l + 1];
   for (std::size_t i = 1; i <= num_left_; ++i) {
     g.left_offsets_[i] += g.left_offsets_[i - 1];
   }
-  g.left_incidences_.resize(lefts_.size());
+  g.left_incidences_.resize(lefts.size());
   {
     std::vector<std::size_t> cursor(g.left_offsets_.begin(),
                                     g.left_offsets_.end() - 1);
-    for (std::size_t e = 0; e < lefts_.size(); ++e) {
-      g.left_incidences_[cursor[lefts_[e]]++] = {rights_[e],
-                                                 static_cast<EdgeId>(e)};
+    for (std::size_t e = 0; e < lefts.size(); ++e) {
+      g.left_incidences_[cursor[lefts[e]]++] = {rights[e],
+                                                static_cast<EdgeId>(e)};
+    }
+  }
+
+  // Reject duplicates: within each left row, stamp every right endpoint
+  // with the row; a right vertex already stamped by this row repeats a
+  // pair. O(V + E), no sort and no hash container involved.
+  {
+    std::vector<std::size_t> stamp(num_right_, num_left_);
+    for (std::size_t l = 0; l < num_left_; ++l) {
+      for (std::size_t i = g.left_offsets_[l]; i < g.left_offsets_[l + 1];
+           ++i) {
+        const VertexId r = g.left_incidences_[i].vertex;
+        MBTA_CHECK_MSG(stamp[r] != l, "duplicate edge (%u, %u)",
+                       static_cast<VertexId>(l), r);
+        stamp[r] = l;
+      }
     }
   }
 
   // Right side.
   g.right_offsets_.assign(num_right_ + 1, 0);
-  for (VertexId r : rights_) ++g.right_offsets_[r + 1];
+  for (VertexId r : rights) ++g.right_offsets_[r + 1];
   for (std::size_t i = 1; i <= num_right_; ++i) {
     g.right_offsets_[i] += g.right_offsets_[i - 1];
   }
-  g.right_incidences_.resize(rights_.size());
+  g.right_incidences_.resize(rights.size());
   {
     std::vector<std::size_t> cursor(g.right_offsets_.begin(),
                                     g.right_offsets_.end() - 1);
-    for (std::size_t e = 0; e < rights_.size(); ++e) {
-      g.right_incidences_[cursor[rights_[e]]++] = {lefts_[e],
-                                                   static_cast<EdgeId>(e)};
+    for (std::size_t e = 0; e < rights.size(); ++e) {
+      g.right_incidences_[cursor[rights[e]]++] = {lefts[e],
+                                                  static_cast<EdgeId>(e)};
     }
   }
 

@@ -77,13 +77,19 @@ class BipartiteGraph {
 class BipartiteGraphBuilder {
  public:
   BipartiteGraphBuilder(std::size_t num_left, std::size_t num_right);
+  /// Adopts already-collected endpoint columns: edge e joins lefts[e] and
+  /// rights[e]. Endpoints are range-checked as AddEdge checks them.
+  BipartiteGraphBuilder(std::size_t num_left, std::size_t num_right,
+                        std::vector<VertexId> lefts,
+                        std::vector<VertexId> rights);
 
   /// Adds an edge and returns its id (insertion-ordered, dense).
   EdgeId AddEdge(VertexId left, VertexId right);
 
   std::size_t NumEdges() const { return lefts_.size(); }
 
-  /// Finalizes into a CSR graph. The builder is left empty afterwards.
+  /// Finalizes into a CSR graph in O(V + E). The builder is left empty
+  /// afterwards.
   BipartiteGraph Build();
 
  private:

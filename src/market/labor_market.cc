@@ -1,5 +1,7 @@
 #include "market/labor_market.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace mbta {
@@ -29,14 +31,30 @@ void LaborMarketBuilder::AddEdge(WorkerId w, TaskId t, EdgeAttributes attr) {
   MBTA_CHECK(t < tasks_.size());
   MBTA_CHECK(attr.quality >= 0.0 && attr.quality <= 1.0);
   MBTA_CHECK(attr.worker_benefit >= 0.0);
-  edges_.push_back({w, t, attr});
+  edge_worker_.push_back(w);
+  edge_task_.push_back(t);
+  quality_.push_back(attr.quality);
+  worker_benefit_.push_back(attr.worker_benefit);
+  task_value_.push_back(tasks_[t].value);
+}
+
+void LaborMarketBuilder::ReserveEdges(std::size_t n) {
+  edge_worker_.reserve(n);
+  edge_task_.reserve(n);
+  quality_.reserve(n);
+  worker_benefit_.reserve(n);
+  task_value_.reserve(n);
 }
 
 void LaborMarketBuilder::ConnectEligiblePairs(const EdgeModelParams& params) {
   for (const Worker& w : workers_) {
     for (const Task& t : tasks_) {
-      if (IsEligible(w, t, params)) {
-        AddEdge(w.id, t.id, ComputeEdgeAttributes(w, t, params));
+      // Payment first: the skill match is only computed for pairs the
+      // worker would accept.
+      if (!IsRational(w, t)) continue;
+      const double match = SkillMatch(w.skills, t.required_skills);
+      if (IsEligible(w, t, match, params)) {
+        AddEdge(w.id, t.id, ComputeEdgeAttributes(w, t, match, params));
       }
     }
   }
@@ -44,22 +62,16 @@ void LaborMarketBuilder::ConnectEligiblePairs(const EdgeModelParams& params) {
 
 LaborMarket LaborMarketBuilder::Build() {
   LaborMarket market;
+  market.graph_ = BipartiteGraphBuilder(workers_.size(), tasks_.size(),
+                                        std::move(edge_worker_),
+                                        std::move(edge_task_))
+                      .Build();
   market.workers_ = std::move(workers_);
   market.tasks_ = std::move(tasks_);
   market.name_ = std::move(name_);
-
-  BipartiteGraphBuilder gb(market.workers_.size(), market.tasks_.size());
-  market.quality_.reserve(edges_.size());
-  market.worker_benefit_.reserve(edges_.size());
-  market.task_value_.reserve(edges_.size());
-  for (const PendingEdge& e : edges_) {
-    gb.AddEdge(e.worker, e.task);
-    market.quality_.push_back(e.attr.quality);
-    market.worker_benefit_.push_back(e.attr.worker_benefit);
-    market.task_value_.push_back(market.tasks_[e.task].value);
-  }
-  market.graph_ = gb.Build();
-  edges_.clear();
+  market.quality_ = std::move(quality_);
+  market.worker_benefit_ = std::move(worker_benefit_);
+  market.task_value_ = std::move(task_value_);
   return market;
 }
 

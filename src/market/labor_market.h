@@ -96,6 +96,9 @@ class LaborMarketBuilder {
   /// range or pre-restrict candidates themselves).
   void ConnectEligiblePairs(const EdgeModelParams& params);
 
+  /// Capacity hint for the edge columns.
+  void ReserveEdges(std::size_t n);
+
   void SetName(std::string name) { name_ = std::move(name); }
 
   std::size_t NumWorkers() const { return workers_.size(); }
@@ -107,12 +110,12 @@ class LaborMarketBuilder {
  private:
   std::vector<Worker> workers_;
   std::vector<Task> tasks_;
-  struct PendingEdge {
-    WorkerId worker;
-    TaskId task;
-    EdgeAttributes attr;
-  };
-  std::vector<PendingEdge> edges_;
+  // Edges straight into the market's columns, indexed by EdgeId.
+  std::vector<WorkerId> edge_worker_;
+  std::vector<TaskId> edge_task_;
+  std::vector<double> quality_;
+  std::vector<double> worker_benefit_;
+  std::vector<double> task_value_;
   std::string name_ = "unnamed";
 };
 

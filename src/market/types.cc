@@ -23,14 +23,28 @@ double SkillMatch(const SkillVector& a, const SkillVector& b) {
   return std::clamp(sim, 0.0, 1.0);
 }
 
+bool IsRational(const Worker& w, const Task& t) {
+  return !(t.payment < w.unit_cost);
+}
+
 bool IsEligible(const Worker& w, const Task& t, const EdgeModelParams& p) {
-  if (t.payment < w.unit_cost) return false;  // irrational for the worker
-  return SkillMatch(w.skills, t.required_skills) >= p.skill_threshold;
+  return IsRational(w, t) &&
+         IsEligible(w, t, SkillMatch(w.skills, t.required_skills), p);
 }
 
 EdgeAttributes ComputeEdgeAttributes(const Worker& w, const Task& t,
                                      const EdgeModelParams& p) {
-  const double match = SkillMatch(w.skills, t.required_skills);
+  return ComputeEdgeAttributes(w, t, SkillMatch(w.skills, t.required_skills),
+                               p);
+}
+
+bool IsEligible(const Worker& w, const Task& t, double match,
+                const EdgeModelParams& p) {
+  return IsRational(w, t) && match >= p.skill_threshold;
+}
+
+EdgeAttributes ComputeEdgeAttributes(const Worker& w, const Task& t,
+                                     double match, const EdgeModelParams& p) {
   EdgeAttributes attr;
   // Quality: base reliability attenuated by skill mismatch and task
   // difficulty, floored at coin-flip level for binary tasks.

@@ -74,13 +74,25 @@ struct EdgeModelParams {
   double interest_weight = 0.5;
 };
 
-/// A worker is eligible for a task iff the skill match clears the
-/// threshold and the payment covers the worker's cost.
+/// The payment covers the worker's cost — the half of eligibility that
+/// needs no skill match.
+bool IsRational(const Worker& w, const Task& t);
+
+/// A worker is eligible for a task iff the payment covers the worker's
+/// cost and the skill match clears the threshold.
 bool IsEligible(const Worker& w, const Task& t, const EdgeModelParams& p);
 
 /// Computes quality and worker benefit for an eligible pair.
 EdgeAttributes ComputeEdgeAttributes(const Worker& w, const Task& t,
                                      const EdgeModelParams& p);
+
+/// The from-match forms of the two above, for callers that already hold
+/// `match` = SkillMatch(w.skills, t.required_skills); the edge model's
+/// formulas live only here.
+bool IsEligible(const Worker& w, const Task& t, double match,
+                const EdgeModelParams& p);
+EdgeAttributes ComputeEdgeAttributes(const Worker& w, const Task& t,
+                                     double match, const EdgeModelParams& p);
 
 }  // namespace mbta
 

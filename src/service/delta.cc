@@ -2,11 +2,12 @@
 
 #include <cmath>
 #include <cstring>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <sstream>
 #include <string_view>
+
+#include "service/text_codec.h"
 
 namespace mbta {
 
@@ -224,35 +225,69 @@ bool ValidateDelta(const Delta& delta, std::string* error) {
   return false;
 }
 
-std::string FormatDelta(const Delta& delta) {
-  std::ostringstream out;
-  out << std::setprecision(17);
-  out << ToString(delta.kind) << ' ' << delta.id;
+void AppendWorkerFields(std::uint64_t id, const Worker& w, std::string* out) {
+  AppendNumber(id, out);
+  *out += ' ';
+  AppendNumber(w.capacity, out);
+  for (double v : {w.unit_cost, w.fatigue, w.reliability}) {
+    *out += ' ';
+    AppendNumber(v, out);
+  }
+  for (double s : w.skills) {
+    *out += ' ';
+    AppendNumber(s, out);
+  }
+}
+
+void AppendTaskFields(std::uint64_t id, const Task& t, std::string* out) {
+  AppendNumber(id, out);
+  *out += ' ';
+  AppendNumber(t.capacity, out);
+  for (double v : {t.payment, t.value, t.difficulty}) {
+    *out += ' ';
+    AppendNumber(v, out);
+  }
+  *out += ' ';
+  AppendNumber(t.requester, out);
+  for (double s : t.required_skills) {
+    *out += ' ';
+    AppendNumber(s, out);
+  }
+}
+
+void AppendFormattedDelta(const Delta& delta, std::string* out) {
+  *out += ToString(delta.kind);
+  *out += ' ';
   switch (delta.kind) {
     case DeltaKind::kAddWorker:
-      out << ' ' << delta.worker.capacity << ' ' << delta.worker.unit_cost
-          << ' ' << delta.worker.fatigue << ' ' << delta.worker.reliability;
-      for (double s : delta.worker.skills) out << ' ' << s;
-      break;
+      AppendWorkerFields(delta.id, delta.worker, out);
+      return;
     case DeltaKind::kAddTask:
-      out << ' ' << delta.task.capacity << ' ' << delta.task.payment << ' '
-          << delta.task.value << ' ' << delta.task.difficulty << ' '
-          << delta.task.requester;
-      for (double s : delta.task.required_skills) out << ' ' << s;
-      break;
+      AppendTaskFields(delta.id, delta.task, out);
+      return;
     case DeltaKind::kRemoveWorker:
     case DeltaKind::kRemoveTask:
       break;
     case DeltaKind::kWorkerCapacity:
     case DeltaKind::kTaskCapacity:
-      out << ' ' << delta.capacity;
-      break;
+      AppendNumber(delta.id, out);
+      *out += ' ';
+      AppendNumber(delta.capacity, out);
+      return;
     case DeltaKind::kTaskPayment:
     case DeltaKind::kTaskValue:
-      out << ' ' << delta.amount;
-      break;
+      AppendNumber(delta.id, out);
+      *out += ' ';
+      AppendNumber(delta.amount, out);
+      return;
   }
-  return out.str();
+  AppendNumber(delta.id, out);  // departures carry the id alone
+}
+
+std::string FormatDelta(const Delta& delta) {
+  std::string out;
+  AppendFormattedDelta(delta, &out);
+  return out;
 }
 
 std::optional<Delta> ParseDelta(const std::string& line, std::string* error) {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/greedy_solver.h"
@@ -19,18 +20,45 @@ void SetError(std::string* error, const std::string& message) {
 }
 
 /// Dense edge id of pair (w, t), or kInvalidEdge when the pair is not an
-/// eligible edge of this rebuild.
+/// eligible edge of this market. An assembled epoch market lists each
+/// worker's edges in ascending task order (MatchCache::Assemble), so this
+/// is a binary search.
 EdgeId FindEdge(const LaborMarket& market, WorkerId w, TaskId t) {
-  for (const Incidence& inc : market.WorkerEdges(w)) {
-    if (market.EdgeTask(inc.edge) == t) return inc.edge;
-  }
-  return kInvalidEdge;
+  const std::span<const Incidence> edges = market.WorkerEdges(w);
+  const auto it = std::lower_bound(
+      edges.begin(), edges.end(), t,
+      [](const Incidence& inc, TaskId task) { return inc.vertex < task; });
+  return it != edges.end() && it->vertex == t ? it->edge : kInvalidEdge;
 }
+
+/// Stable id → dense index over one entity list, as a sorted flat table.
+class IdIndex {
+ public:
+  template <typename Entity>
+  explicit IdIndex(const std::vector<Entity>& entities) {
+    entries_.reserve(entities.size());
+    for (std::size_t i = 0; i < entities.size(); ++i) {
+      entries_.emplace_back(entities[i].id, static_cast<VertexId>(i));
+    }
+    std::sort(entries_.begin(), entries_.end());
+  }
+
+  /// Dense index of `id`, or ServiceState::npos when it is not live.
+  std::size_t Find(std::uint64_t id) const {
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                                     std::pair<std::uint64_t, VertexId>(id, 0));
+    return it != entries_.end() && it->first == id ? it->second
+                                                   : ServiceState::npos;
+  }
+
+ private:
+  std::vector<std::pair<std::uint64_t, VertexId>> entries_;
+};
 
 }  // namespace
 
 MarketService::MarketService(ServiceConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), match_cache_(config_.edge_model) {
   durable_ = !config_.wal_path.empty();
   if (durable_ && config_.snapshot_path.empty()) {
     config_.snapshot_path = config_.wal_path + ".snap";
@@ -214,8 +242,17 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
           }
           break;
       }
+      // A departure's dense index, which the cache needs once it is gone.
+      std::size_t removed = ServiceState::npos;
+      if (delta.kind == DeltaKind::kRemoveWorker) {
+        removed = state_.WorkerIndex(delta.id);
+      } else if (delta.kind == DeltaKind::kRemoveTask) {
+        removed = state_.TaskIndex(delta.id);
+      }
       std::string why;
-      if (!ApplyDelta(state_, delta, &why)) {
+      if (ApplyDelta(state_, delta, &why)) {
+        if (match_cache_.valid()) match_cache_.Apply(state_, delta, removed);
+      } else {
         // Stale delta (e.g. a capacity change racing a departure that
         // was admitted earlier in this very batch). Skipping is
         // deterministic — replay applies the identical rule.
@@ -231,36 +268,35 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
     }
   }
 
-  // --- 2. Rebuild the dense market ----------------------------------------
+  // --- 2. Assemble the dense market from the skill-match cache ----------
+  // The first epoch after Start builds the cache from the entity lists
+  // (|W|·|T| matches); later epochs only assemble.
   LaborMarket market;
   {
     ScopedPhase phase(&stats_.phases, "rebuild");
-    market = BuildMarket(state_, config_.edge_model);
+    if (!match_cache_.valid()) match_cache_.Rebuild(state_);
+    market = match_cache_.Assemble(state_);
   }
+  if (config_.market_observer) config_.market_observer(market);
   const MutualBenefitObjective objective(&market, config_.objective);
-  std::map<std::uint64_t, WorkerId> worker_index;
-  std::map<std::uint64_t, TaskId> task_index;
-  for (std::size_t i = 0; i < state_.workers.size(); ++i) {
-    worker_index.emplace(state_.workers[i].id, static_cast<WorkerId>(i));
-  }
-  for (std::size_t i = 0; i < state_.tasks.size(); ++i) {
-    task_index.emplace(state_.tasks[i].id, static_cast<TaskId>(i));
-  }
 
   // --- 3. Re-anchor the carried assignment and repair ---------------------
   ObjectiveState solution(&objective);
   RepairStats repair_stats;
   {
     ScopedPhase phase(&stats_.phases, "repair");
+    const IdIndex worker_index(state_.workers);
+    const IdIndex task_index(state_.tasks);
     // Carried pairs re-anchor in stable-id order (state_.pairs is
     // sorted), dropping pairs whose edge vanished (entity gone, pair no
     // longer eligible) or no longer fits a tightened capacity. Dropped
     // endpoints join the candidate seed so their slack is refilled.
     for (const StablePair& p : state_.pairs) {
-      const auto wit = worker_index.find(p.worker);
-      const auto tit = task_index.find(p.task);
-      MBTA_CHECK(wit != worker_index.end() && tit != task_index.end());
-      const EdgeId e = FindEdge(market, wit->second, tit->second);
+      const std::size_t w = worker_index.Find(p.worker);
+      const std::size_t t = task_index.Find(p.task);
+      MBTA_CHECK(w != ServiceState::npos && t != ServiceState::npos);
+      const EdgeId e = FindEdge(market, static_cast<WorkerId>(w),
+                                static_cast<TaskId>(t));
       if (e != kInvalidEdge && solution.CanAdd(e)) {
         solution.Add(e);
       } else {
@@ -281,16 +317,17 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
         std::unique(touched_task_ids.begin(), touched_task_ids.end()),
         touched_task_ids.end());
     for (std::uint64_t id : touched_worker_ids) {
-      const auto it = worker_index.find(id);
-      if (it == worker_index.end()) continue;  // departed this batch
-      for (const Incidence& inc : market.WorkerEdges(it->second)) {
+      const std::size_t w = worker_index.Find(id);
+      if (w == ServiceState::npos) continue;  // departed this batch
+      for (const Incidence& inc :
+           market.WorkerEdges(static_cast<WorkerId>(w))) {
         candidates.push_back(inc.edge);
       }
     }
     for (std::uint64_t id : touched_task_ids) {
-      const auto it = task_index.find(id);
-      if (it == task_index.end()) continue;
-      for (const Incidence& inc : market.TaskEdges(it->second)) {
+      const std::size_t t = task_index.Find(id);
+      if (t == ServiceState::npos) continue;
+      for (const Incidence& inc : market.TaskEdges(static_cast<TaskId>(t))) {
         candidates.push_back(inc.edge);
       }
     }

@@ -3,10 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "core/problem.h"
+#include "service/match_cache.h"
 #include "service/snapshot.h"
 #include "service/state.h"
 #include "service/wal.h"
@@ -55,10 +57,12 @@ struct ServiceConfig {
 
   /// Injectable seams (tests): wall clock for the degrade decision,
   /// fault injection for the service/* fault points, fsync for the WAL
-  /// and snapshots.
+  /// and snapshots, and an observer handed each epoch's market right
+  /// after it is assembled.
   const Clock* clock = nullptr;
   FaultInjector* faults = nullptr;
   FileSyncer* syncer = nullptr;
+  std::function<void(const LaborMarket&)> market_observer;
 };
 
 /// Outcome of one Submit call.
@@ -107,11 +111,12 @@ class MarketService {
   /// take effect at the next RunEpoch.
   SubmitResult Submit(const Delta& delta, std::string* error = nullptr);
 
-  /// Runs one epoch: consume up to epoch_batch pending deltas, rebuild
-  /// the market, carry the previous assignment over (re-anchored by
-  /// stable ids), repair locally, optionally escape-hatch to a full
-  /// re-solve, validate, commit to the WAL, maybe snapshot. Returns
-  /// false on failure (service failed / validation error).
+  /// Runs one epoch: consume up to epoch_batch pending deltas, assemble
+  /// the market from the skill-match cache, carry the previous assignment
+  /// over (re-anchored by stable ids), repair locally, optionally
+  /// escape-hatch to a full re-solve, validate, commit to the WAL, maybe
+  /// snapshot. Returns false on failure (service failed / validation
+  /// error).
   bool RunEpoch(std::string* error = nullptr);
 
   bool started() const { return started_; }
@@ -123,6 +128,11 @@ class MarketService {
   double objective_value() const { return last_value_; }
   /// Mode the last epoch ran in.
   EpochMode last_mode() const { return last_mode_; }
+  /// SkillMatch calls the epoch path has made since construction: |W|·|T|
+  /// on the first epoch run (live or replayed), then arrivals × other
+  /// side. Tests pin rebuild cost with it; it stays out of
+  /// stats().counters so the bench counter sets do not change.
+  std::uint64_t skill_matches() const { return match_cache_.skill_matches(); }
 
   /// Service-lifetime observability: service/* counters, the
   /// service/epoch/... phase tree, and (when a tracer is attached via
@@ -144,6 +154,8 @@ class MarketService {
   bool failed_ = false;
 
   ServiceState state_;
+  /// Derived from state_'s entity lists, never persisted.
+  MatchCache match_cache_;
   WalWriter wal_;
   double last_value_ = 0.0;
   EpochMode last_mode_ = EpochMode::kNormal;

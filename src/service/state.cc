@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <sstream>
 
+#include "service/text_codec.h"
 #include "util/crc32.h"
 
 namespace mbta {
@@ -182,37 +182,57 @@ LaborMarket BuildMarket(const ServiceState& state,
 }
 
 std::string SerializeServiceState(const ServiceState& state) {
-  std::ostringstream out;
-  out << std::setprecision(17);
-  out << "mbta-service-state v1\n";
-  out << "epoch " << state.epoch << '\n';
-  out << "wal_records " << state.wal_records << '\n';
-  out << "reference " << state.reference_bits << '\n';
-  out << "workers " << state.workers.size() << '\n';
+  // A number spells in at most 24 bytes; reserving for that bound keeps
+  // the one string from regrowing.
+  std::size_t numbers = 8 + 2 * state.pairs.size() + 8 * state.pending.size();
   for (const StableWorker& sw : state.workers) {
-    const Worker& w = sw.worker;
-    out << "w " << sw.id << ' ' << w.capacity << ' ' << w.unit_cost << ' '
-        << w.fatigue << ' ' << w.reliability;
-    for (double s : w.skills) out << ' ' << s;
-    out << '\n';
+    numbers += 5 + sw.worker.skills.size();
   }
-  out << "tasks " << state.tasks.size() << '\n';
   for (const StableTask& st : state.tasks) {
-    const Task& t = st.task;
-    out << "t " << st.id << ' ' << t.capacity << ' ' << t.payment << ' '
-        << t.value << ' ' << t.difficulty << ' ' << t.requester;
-    for (double s : t.required_skills) out << ' ' << s;
-    out << '\n';
+    numbers += 6 + st.task.required_skills.size();
   }
-  out << "pairs " << state.pairs.size() << '\n';
-  for (const StablePair& p : state.pairs) {
-    out << "a " << p.worker << ' ' << p.task << '\n';
-  }
-  out << "pending " << state.pending.size() << '\n';
   for (const Delta& d : state.pending) {
-    out << "d " << FormatDelta(d) << '\n';
+    numbers += d.worker.skills.size() + d.task.required_skills.size();
   }
-  return out.str();
+  std::string out;
+  out.reserve(25 * numbers);
+  const auto line = [&out](const char* keyword, std::uint64_t value) {
+    out += keyword;
+    out += ' ';
+    AppendNumber(value, &out);
+    out += '\n';
+  };
+  out += "mbta-service-state v1\n";
+  line("epoch", state.epoch);
+  line("wal_records", state.wal_records);
+  line("reference", state.reference_bits);
+  line("workers", state.workers.size());
+  for (const StableWorker& sw : state.workers) {
+    out += "w ";
+    AppendWorkerFields(sw.id, sw.worker, &out);
+    out += '\n';
+  }
+  line("tasks", state.tasks.size());
+  for (const StableTask& st : state.tasks) {
+    out += "t ";
+    AppendTaskFields(st.id, st.task, &out);
+    out += '\n';
+  }
+  line("pairs", state.pairs.size());
+  for (const StablePair& p : state.pairs) {
+    out += "a ";
+    AppendNumber(p.worker, &out);
+    out += ' ';
+    AppendNumber(p.task, &out);
+    out += '\n';
+  }
+  line("pending", state.pending.size());
+  for (const Delta& d : state.pending) {
+    out += "d ";
+    AppendFormattedDelta(d, &out);
+    out += '\n';
+  }
+  return out;
 }
 
 std::optional<ServiceState> ParseServiceState(std::istream& in,

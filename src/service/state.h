@@ -64,9 +64,9 @@ struct ServiceState {
   /// MarketService escape hatch); 0 before the first epoch.
   std::uint64_t reference_bits = 0;
 
-  /// Index of the entity with stable id `id`, or npos. Linear scan —
-  /// service markets are rebuilt per epoch anyway, so lookups are not on
-  /// the hot path.
+  /// Index of the entity with stable id `id`, or npos. Linear scan: it
+  /// serves per-delta application and snapshot parsing; the epoch path
+  /// maps ids through a sorted index built once per epoch instead.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t WorkerIndex(std::uint64_t id) const;
   std::size_t TaskIndex(std::uint64_t id) const;
@@ -83,7 +83,9 @@ bool ApplyDelta(ServiceState& state, const Delta& delta,
 /// Rebuilds the dense LaborMarket for the current entity lists: worker i
 /// of the market is state.workers[i], edges are derived from
 /// `edge_model` via ConnectEligiblePairs. Deterministic in the entity
-/// order, which Serialize pins.
+/// order, which Serialize pins. The service assembles the same market
+/// from its skill-match cache (MatchCache); this from-scratch form is
+/// its oracle and the checker's view of a state.
 LaborMarket BuildMarket(const ServiceState& state,
                         const EdgeModelParams& edge_model);
 
