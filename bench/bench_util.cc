@@ -45,13 +45,6 @@ std::string ConsumeFlagValue(int* argc, char** argv,
   return "";
 }
 
-int ConsumeThreadsFlag(int* argc, char** argv) {
-  const std::string value = ConsumeFlagValue(argc, argv, "--threads");
-  if (value.empty()) return 0;
-  const int threads = std::atoi(value.c_str());
-  return threads > 0 ? threads : 0;
-}
-
 namespace {
 
 std::string FindJsonFlag(int argc, char* const* argv) {

@@ -70,12 +70,6 @@ inline std::string ConsumeJsonFlag(int* argc, char** argv) {
   return ConsumeFlagValue(argc, argv, "--json");
 }
 
-/// Removes `--threads <n>` from argv and returns the parsed count, or 0
-/// when absent/unparsable. 0 means "serial only": the bench keeps its
-/// seeded row set, so records stay comparable to older baselines unless
-/// the flag is passed explicitly.
-int ConsumeThreadsFlag(int* argc, char** argv);
-
 /// Structured result sink behind the `--json <path>` flag every bench
 /// binary accepts. When the flag is absent the log is disabled and every
 /// call is a cheap no-op, so the printed tables stay the primary output.

@@ -30,7 +30,6 @@
 #include "core/greedy_solver.h"
 #include "core/local_search_solver.h"
 #include "core/online_solvers.h"
-#include "core/parallel_greedy_solver.h"
 #include "core/solver.h"
 #include "core/stable_matching_solver.h"
 #include "core/threshold_solver.h"
@@ -165,15 +164,15 @@ std::vector<ServiceOp> ServiceChurnStream(std::uint64_t seed) {
 /// wall times land in the "latency/solve_ms" histogram; the latency/
 /// prefix keeps time-valued buckets out of bench_compare's exact diff.
 bool RunOne(const Solver& solver, const MbtaProblem& problem, int repeats,
-            bench::SolverRun* out, const SolveOptions& options = {},
-            Tracer* tracer = nullptr) {
-  const Assignment plain = solver.Solve(problem, options);
+            bench::SolverRun* out, Tracer* tracer) {
+  const Assignment plain = solver.Solve(problem, SolveOptions{});
   out->solver = solver.name();
   Histogram solve_ms(LatencyBoundariesMs());
   for (int i = 0; i < repeats; ++i) {
     SolveInfo info;
     if (i == 0) info.phases.set_tracer(tracer);
-    const Assignment instrumented = solver.Solve(problem, options, &info);
+    const Assignment instrumented =
+        solver.Solve(problem, SolveOptions{}, &info);
     if (instrumented.edges != plain.edges) {
       std::fprintf(stderr,
                    "FAIL: %s returned a different assignment on "
@@ -209,8 +208,8 @@ int main(int argc, char** argv) {
       "per (workload, solver): determinism check + best-of-3 wall time, "
       "counters and phase timings; diff two runs with bench_compare",
       "mturk 300 / uniform 250x250 / upwork 300 submodular + mturk 300 "
-      "modular + uniform 350x350 parallel sweep + resident-service churn "
-      "stream, alpha=0.5, seed 42");
+      "modular + uniform 350x350 lazy vs plain greedy + resident-service "
+      "churn stream, alpha=0.5, seed 42");
   bench::JsonLog json(argc, argv, "smoke",
                       "pinned small workloads, alpha=0.5, seed 42");
 
@@ -227,20 +226,10 @@ int main(int argc, char** argv) {
 
   constexpr int kRepeats = 3;
   bool ok = true;
-  Table table(
-      {"workload", "solver", "threads", "MB", "time(ms)", "gain evals"});
-  // `threads <= 0` marks a serial row: no "threads" param is emitted, so
-  // serial row keys stay byte-identical to pre-parallel records while
-  // each parallel row keys on its thread count (bench_compare matches
-  // rows on experiment + params + solver).
-  const auto report = [&](const Workload& w, const bench::SolverRun& run,
-                          int threads = 0) {
-    bench::JsonLog::Params params{{"workload", w.name}};
-    if (threads > 0) params.emplace_back("threads", std::to_string(threads));
-    json.AddRun(std::move(params), run);
-    table.AddRow({w.name, run.solver,
-                  threads > 0 ? std::to_string(threads) : "-",
-                  Table::Num(run.metrics.mutual_benefit),
+  Table table({"workload", "solver", "MB", "time(ms)", "gain evals"});
+  const auto report = [&](const Workload& w, const bench::SolverRun& run) {
+    json.AddRun({{"workload", w.name}}, run);
+    table.AddRow({w.name, run.solver, Table::Num(run.metrics.mutual_benefit),
                   Table::Num(run.info.wall_ms),
                   Table::Num(static_cast<std::int64_t>(
                       run.info.gain_evaluations))});
@@ -250,7 +239,7 @@ int main(int argc, char** argv) {
     const MbtaProblem p{&w.market, w.objective};
     for (const auto& solver : SmokeSolvers(w.market)) {
       bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, {}, tracer) && ok;
+      ok = RunOne(*solver, p, kRepeats, &run, tracer) && ok;
       report(w, run);
     }
   }
@@ -266,20 +255,15 @@ int main(int argc, char** argv) {
     for (const Solver* solver : {static_cast<const Solver*>(&exact),
                                  static_cast<const Solver*>(&greedy)}) {
       bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, {}, tracer) && ok;
+      ok = RunOne(*solver, p, kRepeats, &run, tracer) && ok;
       report(modular, run);
     }
   }
 
-  // Parallel sweep: the serial plain-greedy row is the reference and the
-  // parallel solvers run at pinned thread counts on a workload large
-  // enough (~2M gain evaluations per plain solve) that the batched SoA
-  // kernel's advantage clears scheduler noise. The committed baseline
-  // (BENCH_ci.json) records the expected speedup; bench_compare diffs a
-  // fresh run's counters against it exactly — parallel counters are
-  // independent of the thread count by the determinism contract
-  // (CONTRIBUTING.md, "Parallelism"), so these rows double as a
-  // cross-thread-count determinism gate in record form.
+  // Lazy vs plain greedy on a workload large enough (~2M gain
+  // evaluations per plain solve) that the lazy heap's saving clears
+  // scheduler noise. The workload key predates this pair of rows and is
+  // kept so their committed baselines stay comparable.
   {
     const Workload par{"uniform-350-par",
                        GenerateMarket(UniformConfig(350, 350, 42)),
@@ -290,20 +274,8 @@ int main(int argc, char** argv) {
     for (const Solver* solver : {static_cast<const Solver*>(&serial_lazy),
                                  static_cast<const Solver*>(&serial_plain)}) {
       bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, {}, tracer) && ok;
+      ok = RunOne(*solver, p, kRepeats, &run, tracer) && ok;
       report(par, run);
-    }
-    const ParallelGreedySolver lazy(ParallelGreedySolver::Mode::kLazy);
-    const ParallelGreedySolver plain(ParallelGreedySolver::Mode::kPlain);
-    for (const int threads : {1, 8}) {
-      SolveOptions options;
-      options.threads = threads;
-      for (const Solver* solver : {static_cast<const Solver*>(&lazy),
-                                   static_cast<const Solver*>(&plain)}) {
-        bench::SolverRun run;
-        ok = RunOne(*solver, p, kRepeats, &run, options, tracer) && ok;
-        report(par, run, threads);
-      }
     }
   }
 

@@ -3,16 +3,15 @@
 # under ASan and UBSan instrumentation (-DMBTA_SANITIZE presets), then
 # the obs tests AND the robustness + service suites (deadline /
 # fault-injection / fallback / cancellation plus WAL / snapshot / crash
-# recovery, `ctest -L 'robustness|service'`) under TSan with the
-# thread-safe registries (-DMBTA_SANITIZE=thread -DMBTA_OBS_THREADSAFE=ON).
-# The TSan leg is what exercises cancellation from a second thread with
-# both threads writing shared counters, plus the parallel solve path:
-# ThreadPool and a slice of the cross-thread-count determinism sweep. A CLI smoke step checks the
-# mbta_cli exit-code taxonomy (0 ok / 1 usage / 2 bad input / 3 degraded)
-# end-to-end against the plain build, a bench gate diffs a fresh
-# smoke-suite run's counters against the committed BENCH_ci.json, and a
-# trace gate asserts traces are sequence-identical across runs and
-# across thread counts (mbta_trace --diff).
+# recovery, `ctest -L 'robustness|service'`) under TSan
+# (-DMBTA_SANITIZE=thread). The TSan leg exercises the library's only
+# cross-thread surfaces: cancellation from a watchdog thread and the
+# Tracer's thread registration and flight ring. A CLI smoke step checks
+# the mbta_cli exit-code taxonomy (0 ok / 1 usage / 2 bad input / 3
+# degraded) end-to-end against the plain build, a bench gate diffs a
+# fresh smoke-suite run's counters against the committed BENCH_ci.json,
+# and a trace gate asserts traces are sequence-identical across runs
+# (mbta_trace --diff).
 #
 # Usage: scripts/check.sh [--fast] [--skip-unsupported] [jobs]
 #   --fast               plain build runs only `ctest -L
@@ -103,10 +102,17 @@ cli_smoke() {
       --tasks 30 --seed 7 --out "${tmp}/m.market"
   expect_exit 0 "${cli}" solve --market "${tmp}/m.market" \
       --solver greedy --out "${tmp}/a.assignment"
-  # 1: usage errors — unknown command, unknown solver.
+  # 1: usage errors — unknown command, unknown solver, a flag the
+  # command does not take, a number that does not parse.
   expect_exit 1 "${cli}" frobnicate
   expect_exit 1 "${cli}" solve --market "${tmp}/m.market" \
       --solver no-such-solver --out "${tmp}/x.assignment"
+  expect_exit 1 "${cli}" solve --market "${tmp}/m.market" \
+      --solver greedy --threads 8 --out "${tmp}/x.assignment"
+  expect_exit 1 "${cli}" solve --market "${tmp}/m.market" \
+      --solver greedy --frobnicate --out "${tmp}/x.assignment"
+  expect_exit 1 "${cli}" generate --dataset uniform --workers banana \
+      --out "${tmp}/x.market"
   # 2: bad input — a corrupt market file parses to a clean error.
   printf 'mbta-market v1\nname x\nworkers nan\n' > "${tmp}/bad.market"
   expect_exit 2 "${cli}" stats --market "${tmp}/bad.market"
@@ -178,10 +184,8 @@ lint_gate() {
 
 # Traces are diffed as normalized event sequences (timestamps and
 # durations stripped), so two runs of the same build must produce
-# byte-identical sequences — and by the determinism contract the same
-# holds across thread counts, modulo the `pool` category: pool/slice
-# spans only exist when workers actually run, so the cross-thread-count
-# diff ignores that category (see CONTRIBUTING.md "Tracing").
+# byte-identical sequences (see CONTRIBUTING.md "Tracing"): the smoke
+# suite's and a traced CLI solve's.
 trace_gate() {
   echo "=== trace gate: sequence-identical traces (build/) ==="
   cmake --build build -j "${JOBS}" --target smoke_suite mbta_trace mbta_cli
@@ -196,15 +200,12 @@ trace_gate() {
   local cli=build/tools/mbta_cli
   "${cli}" generate --dataset mturk --workers 250 --seed 7 \
       --out "${tmp}/gate.market" >/dev/null
-  "${cli}" solve --market "${tmp}/gate.market" \
-      --solver parallel-greedy-plain --threads 1 \
+  "${cli}" solve --market "${tmp}/gate.market" --solver greedy-plain \
       --trace "${tmp}/t1.json" --out "${tmp}/t1.assignment" >/dev/null
-  "${cli}" solve --market "${tmp}/gate.market" \
-      --solver parallel-greedy-plain --threads 8 \
-      --trace "${tmp}/t8.json" --out "${tmp}/t8.assignment" >/dev/null
-  build/tools/mbta_trace --diff "${tmp}/t1.json" "${tmp}/t8.json" \
-      --ignore-cat pool
-  echo "check.sh: traces deterministic across runs and thread counts"
+  "${cli}" solve --market "${tmp}/gate.market" --solver greedy-plain \
+      --trace "${tmp}/t2.json" --out "${tmp}/t2.assignment" >/dev/null
+  build/tools/mbta_trace --diff "${tmp}/t1.json" "${tmp}/t2.json"
+  echo "check.sh: traces deterministic across runs"
 }
 
 if [ "${FAST}" = "1" ]; then
@@ -227,48 +228,30 @@ if require_sanitizer undefined; then
   run_suite build-ubsan undefined ""
 fi
 
-# TSan leg: the concurrent obs registries plus the robustness suite.
-# MBTA_OBS_THREADSAFE=ON makes the counter registries lockable, which the
-# cancellation tests rely on to write counters from a watchdog thread
-# while the solver thread runs — TSan then proves the whole
-# budget/cancel/fallback path race-free. Building targets directly keeps
-# this leg minutes-cheap; `ctest -L robustness` only matches tests whose
+# TSan leg: the obs and trace tests plus the robustness and service
+# suites. The cancellation tests stop a running solve from a watchdog
+# thread and the trace tests register concurrent threads with one
+# Tracer — the library's only cross-thread surfaces — so TSan proves
+# them race-free. Building targets directly keeps this leg
+# minutes-cheap; `ctest -L robustness` only matches tests whose
 # binaries were built (unbuilt targets surface as unlabeled NOT_BUILT
 # placeholders and are skipped by the label filter).
 if require_sanitizer thread; then
-  echo "=== build-tsan (MBTA_SANITIZE='thread' MBTA_OBS_THREADSAFE=ON) ==="
-  cmake -B build-tsan -S . -DMBTA_SANITIZE=thread \
-        -DMBTA_OBS_THREADSAFE=ON >/dev/null
+  echo "=== build-tsan (MBTA_SANITIZE='thread') ==="
+  cmake -B build-tsan -S . -DMBTA_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" \
-        --target obs_threads_test obs_test json_writer_test \
+        --target obs_test json_writer_test \
                  histogram_test trace_test \
                  deadline_test fault_injection_test fallback_solver_test \
-                 cancellation_test thread_pool_test \
-                 differential_test \
+                 cancellation_test \
                  wal_test snapshot_test market_service_test \
                  service_recovery_test wal_fuzz_test \
                  service_differential_test state_serializer_test \
                  market_assembly_test
-  build-tsan/tests/obs_threads_test
   build-tsan/tests/obs_test
   build-tsan/tests/json_writer_test
-  # The tracer's internal mutexes are always-on (unlike the registries),
-  # so TSan here proves the multi-track span path race-free: trace_test's
-  # pool test drives four worker threads through RegisterThread and
-  # concurrent slice spans.
   build-tsan/tests/histogram_test
   build-tsan/tests/trace_test
-  # The parallel-solve path under TSan: the pool's handoff protocol and
-  # a slice of the cross-thread-count determinism sweep (instances 10-19
-  # — the full 100 would take minutes under TSan; any data race shows up
-  # within a handful of instances).
-  build-tsan/tests/thread_pool_test
-  build-tsan/tests/differential_test \
-      --gtest_filter='*ParallelDeterminismTest*/1?'
-  # The service suite rides along: single-threaded today, but the WAL /
-  # snapshot / crash-recovery paths share the obs registries with the
-  # instrumented solvers, so running them against the lockable registries
-  # keeps the durability path honest as parallel epochs arrive.
   (cd build-tsan && ctest --output-on-failure -j "${JOBS}" \
       -L 'robustness|service')
 fi

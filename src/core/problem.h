@@ -61,7 +61,7 @@ struct SolveStats {
   PhaseTimings phases;
 
   /// Named value distributions (fixed deterministic boundaries), e.g.
-  /// "greedy/gain" or "solve/parallel/batch_size". Time-valued
+  /// "greedy/gain" or "latency/solve_ms". Time-valued
   /// histograms use the "latency/" prefix, which the bench_compare
   /// determinism gates skip.
   HistogramRegistry histograms;

@@ -21,14 +21,6 @@ struct SolveOptions {
   /// assignment, with SolveStats::deadline_hit set.
   DeadlineBudget budget;
 
-  /// Worker threads for solvers with a parallel path
-  /// (ParallelGreedySolver). Values < 1 are
-  /// clamped to 1; serial solvers ignore it. The determinism contract
-  /// (CONTRIBUTING.md, "Parallelism"): the returned assignment and every
-  /// published counter are byte-identical at any thread count — threads
-  /// buy wall time only. Enforced by tests/differential_test.cc.
-  int threads = 1;
-
   /// Optional fault-injection harness (tests only). Solvers fire named
   /// fault points through it; null disables injection entirely.
   FaultInjector* faults = nullptr;

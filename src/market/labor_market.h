@@ -41,8 +41,8 @@ class LaborMarket {
   double WorkerBenefit(EdgeId e) const { return worker_benefit_[e]; }
 
   /// Per-edge attribute columns, indexed by EdgeId. Attributes are stored
-  /// structure-of-arrays so batched gain kernels (ObjectiveState::
-  /// BatchMarginalGains) stream one contiguous column per quantity instead
+  /// structure-of-arrays so gain kernels (ObjectiveState::MarginalGain,
+  /// the repair refill) stream one contiguous column per quantity instead
   /// of striding through an array of structs; the scalar accessors above
   /// read the same memory, so the two paths can never disagree.
   std::span<const double> Qualities() const { return quality_; }

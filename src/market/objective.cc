@@ -88,84 +88,6 @@ double MutualBenefitObjective::EdgeWeight(EdgeId e) const {
          (1.0 - params_.alpha) * market_->WorkerBenefit(e);
 }
 
-namespace {
-
-/// The single-edge marginal-gain computation used by MarginalGain, with
-/// the per-call scratch type (ArenaVector) templated out. The batch
-/// kernels repeat this body by hand — keeping their inner loops
-/// monomorphic is measurably faster — and objective_kernel_test pins all
-/// paths bit-identical. Every arithmetic step mirrors the expression
-/// shape of the from-scratch TaskBenefit / WorkerUtility folds in the
-/// same operand order, so the results match those bit-for-bit too (the
-/// incremental forms buy speed from the SoA columns and the reused
-/// scratch, never from reassociating floating point).
-// always_inline: the call sits in the innermost solver loops and the
-// argument list (several by-value spans) is expensive to materialize;
-// without the attribute gcc leaves it outlined and the batch path pays
-// ~25% on the smoke rows.
-template <typename DoubleVec>
-[[gnu::always_inline]] inline double EdgeGainAt(
-    const LaborMarket& market, double alpha,
-                         bool modular, std::span<const double> quality,
-                         std::span<const double> benefit,
-                         std::span<const double> task_value, EdgeId e,
-                         WorkerId w, std::span<const EdgeId> t_edges,
-                         std::span<const EdgeId> w_edges, DoubleVec& values,
-                         DoubleVec& values_plus) {
-  double task_old;
-  double task_plus;
-  if (modular) {
-    double sum = 0.0;
-    // task_value[te] == task_value[e] == V(t) for every chosen edge of
-    // t; kept per-edge so the load stays a single column read.
-    for (EdgeId te : t_edges) sum += task_value[te] * quality[te];
-    task_old = sum;
-    task_plus = sum + task_value[e] * quality[e];
-  } else {
-    double miss = 1.0;
-    for (EdgeId te : t_edges) miss *= 1.0 - quality[te];
-    task_old = task_value[e] * (1.0 - miss);
-    task_plus = task_value[e] * (1.0 - miss * (1.0 - quality[e]));
-  }
-
-  double worker_old;
-  double worker_plus;
-  if (modular) {
-    double sum = 0.0;
-    for (EdgeId we : w_edges) sum += benefit[we];
-    worker_old = sum;
-    worker_plus = sum + benefit[e];
-  } else {
-    const double fatigue = market.worker(w).fatigue;
-    // Build both benefit lists in the from-scratch path's input order
-    // (incumbents in edge order, candidate appended) before sorting, so
-    // even ties land exactly where std::sort puts them there.
-    values.clear();
-    values_plus.clear();
-    for (EdgeId we : w_edges) values.push_back(benefit[we]);
-    values_plus = values;
-    values_plus.push_back(benefit[e]);
-    std::sort(values.begin(), values.end(), std::greater<>());
-    std::sort(values_plus.begin(), values_plus.end(), std::greater<>());
-    const auto fold = [fatigue](const DoubleVec& vals) {
-      double utility = 0.0;
-      double weight = 1.0;
-      for (double v : vals) {
-        utility += weight * v;
-        weight *= fatigue;
-      }
-      return utility;
-    };
-    worker_old = fold(values);
-    worker_plus = fold(values_plus);
-  }
-
-  return alpha * (task_plus - task_old) +
-         (1.0 - alpha) * (worker_plus - worker_old);
-}
-
-}  // namespace
-
 ObjectiveState::ObjectiveState(const MutualBenefitObjective* objective,
                                Arena* arena)
     : objective_(objective),
@@ -242,227 +164,75 @@ bool ObjectiveState::CanAdd(EdgeId e) const {
          TaskLoad(t) < market_->task(t).capacity;
 }
 
+// Every arithmetic step mirrors the expression shape of the from-scratch
+// TaskBenefit / WorkerUtility folds in the same operand order, so the
+// results match those bit-for-bit (the incremental form buys speed from
+// the SoA columns and the reused scratch, never from reassociating
+// floating point).
 double ObjectiveState::MarginalGain(EdgeId e) const {
   MBTA_CHECK(e < market_->NumEdges());
   MBTA_CHECK(!chosen_.Test(e));
+  const std::span<const double> quality = market_->Qualities();
+  const std::span<const double> benefit = market_->WorkerBenefits();
+  const std::span<const double> task_value = market_->EdgeTaskValues();
+  const bool modular = objective_->kind() == ObjectiveKind::kModular;
   const WorkerId w = market_->EdgeWorker(e);
   const TaskId t = market_->EdgeTask(e);
-  return EdgeGainAt(*market_, objective_->alpha(),
-                    objective_->kind() == ObjectiveKind::kModular,
-                    market_->Qualities(), market_->WorkerBenefits(),
-                    market_->EdgeTaskValues(), e, w, TaskEdges(t),
-                    WorkerEdges(w), gain_values_, gain_values_plus_);
-}
 
-void ObjectiveState::BatchMarginalGains(std::span<const EdgeId> edges,
-                                        std::span<double> out,
-                                        GainScratch* scratch) const {
-#if defined(MBTA_SIMD)
-  BatchMarginalGainsSimd(edges, out, scratch);
-#else
-  BatchMarginalGainsScalar(edges, out, scratch);
-#endif
-}
-
-void ObjectiveState::BatchMarginalGainsScalar(std::span<const EdgeId> edges,
-                                              std::span<double> out,
-                                              GainScratch* scratch) const {
-  MBTA_CHECK(scratch != nullptr);
-  MBTA_CHECK(out.size() >= edges.size());
-  const std::span<const double> quality = market_->Qualities();
-  const std::span<const double> benefit = market_->WorkerBenefits();
-  const std::span<const double> task_value = market_->EdgeTaskValues();
-  const std::span<const VertexId> edge_worker = market_->graph().EdgeLefts();
-  const std::span<const VertexId> edge_task = market_->graph().EdgeRights();
-  const double alpha = objective_->alpha();
-  const bool modular = objective_->kind() == ObjectiveKind::kModular;
-
-  // The loop body is EdgeGainAt written out by hand: keeping the batch
-  // loop monomorphic (no forwarded span arguments) is measurably faster
-  // under gcc, and the bit-identity with MarginalGain is pinned by
-  // tests/objective_kernel_test.cc rather than by shared source.
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const EdgeId e = edges[i];
-    MBTA_CHECK(e < market_->NumEdges());
-    MBTA_CHECK(!chosen_.Test(e));
-    const WorkerId w = edge_worker[e];
-    const TaskId t = edge_task[e];
-    const std::span<const EdgeId> t_edges = TaskEdges(t);
-    const std::span<const EdgeId> w_edges = WorkerEdges(w);
-
-    double task_old;
-    double task_plus;
-    if (modular) {
-      double sum = 0.0;
-      // task_value[te] == task_value[e] == V(t) for every chosen edge of
-      // t; kept per-edge so the load stays a single column read.
-      for (EdgeId te : t_edges) sum += task_value[te] * quality[te];
-      task_old = sum;
-      task_plus = sum + task_value[e] * quality[e];
-    } else {
-      double miss = 1.0;
-      for (EdgeId te : t_edges) miss *= 1.0 - quality[te];
-      task_old = task_value[e] * (1.0 - miss);
-      task_plus = task_value[e] * (1.0 - miss * (1.0 - quality[e]));
-    }
-
-    double worker_old;
-    double worker_plus;
-    if (modular) {
-      double sum = 0.0;
-      for (EdgeId we : w_edges) sum += benefit[we];
-      worker_old = sum;
-      worker_plus = sum + benefit[e];
-    } else {
-      const double fatigue = market_->worker(w).fatigue;
-      // Build both benefit lists in the scalar path's input order
-      // (incumbents in edge order, candidate appended) before sorting, so
-      // even ties land exactly where std::sort puts them there.
-      std::vector<double>& values = scratch->values;
-      std::vector<double>& values_plus = scratch->values_plus;
-      values.clear();
-      values_plus.clear();
-      for (EdgeId we : w_edges) values.push_back(benefit[we]);
-      values_plus = values;
-      values_plus.push_back(benefit[e]);
-      std::sort(values.begin(), values.end(), std::greater<>());
-      std::sort(values_plus.begin(), values_plus.end(), std::greater<>());
-      const auto fold = [fatigue](const std::vector<double>& vals) {
-        double utility = 0.0;
-        double weight = 1.0;
-        for (double v : vals) {
-          utility += weight * v;
-          weight *= fatigue;
-        }
-        return utility;
-      };
-      worker_old = fold(values);
-      worker_plus = fold(values_plus);
-    }
-
-    out[i] = alpha * (task_plus - task_old) +
-             (1.0 - alpha) * (worker_plus - worker_old);
+  double task_old;
+  double task_plus;
+  if (modular) {
+    double sum = 0.0;
+    // task_value[te] == task_value[e] == V(t) for every chosen edge of
+    // t; kept per-edge so the load stays a single column read.
+    for (EdgeId te : TaskEdges(t)) sum += task_value[te] * quality[te];
+    task_old = sum;
+    task_plus = sum + task_value[e] * quality[e];
+  } else {
+    double miss = 1.0;
+    for (EdgeId te : TaskEdges(t)) miss *= 1.0 - quality[te];
+    task_old = task_value[e] * (1.0 - miss);
+    task_plus = task_value[e] * (1.0 - miss * (1.0 - quality[e]));
   }
-}
 
-#if defined(MBTA_SIMD)
-void ObjectiveState::BatchMarginalGainsSimd(std::span<const EdgeId> edges,
-                                            std::span<double> out,
-                                            GainScratch* scratch) const {
-  MBTA_CHECK(scratch != nullptr);
-  MBTA_CHECK(out.size() >= edges.size());
-  const std::span<const double> quality = market_->Qualities();
-  const std::span<const double> benefit = market_->WorkerBenefits();
-  const std::span<const double> task_value = market_->EdgeTaskValues();
-  const std::span<const VertexId> edge_worker = market_->graph().EdgeLefts();
-  const std::span<const VertexId> edge_task = market_->graph().EdgeRights();
-  const double alpha = objective_->alpha();
-  const bool modular = objective_->kind() == ObjectiveKind::kModular;
-
-  // Bit-identity strategy (pinned by objective_kernel_test, documented in
-  // CONTRIBUTING.md): only *elementwise* stages — gathers, per-element
-  // products and differences — run under `#pragma omp simd`. Every
-  // reduction (the sums, the miss product, the fatigue ladder) stays a
-  // sequential fold in the scalar path's operand order, and the whole TU
-  // is built with -ffp-contract=off under MBTA_SIMD, so each lane's
-  // arithmetic is the exact IEEE operation sequence of the reference.
-  std::vector<double>& values = scratch->values;
-  std::vector<double>& values_plus = scratch->values_plus;
-  std::vector<double>& terms = scratch->terms;
-  std::vector<double>& weights = scratch->weights;
-
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const EdgeId e = edges[i];
-    MBTA_CHECK(e < market_->NumEdges());
-    MBTA_CHECK(!chosen_.Test(e));
-    const WorkerId w = edge_worker[e];
-    const TaskId t = edge_task[e];
-    const std::span<const EdgeId> t_edges = TaskEdges(t);
-    const std::span<const EdgeId> w_edges = WorkerEdges(w);
-
-    double task_old;
-    double task_plus;
-    if (modular) {
-      const std::size_t n = t_edges.size();
-      terms.resize(n);
-      const EdgeId* te = t_edges.data();
-      double* tp = terms.data();
-#pragma omp simd
-      for (std::size_t j = 0; j < n; ++j) {
-        tp[j] = task_value[te[j]] * quality[te[j]];
-      }
-      double sum = 0.0;
-      for (std::size_t j = 0; j < n; ++j) sum += tp[j];
-      task_old = sum;
-      task_plus = sum + task_value[e] * quality[e];
-    } else {
-      const std::size_t n = t_edges.size();
-      terms.resize(n);
-      const EdgeId* te = t_edges.data();
-      double* tp = terms.data();
-#pragma omp simd
-      for (std::size_t j = 0; j < n; ++j) tp[j] = 1.0 - quality[te[j]];
-      double miss = 1.0;
-      for (std::size_t j = 0; j < n; ++j) miss *= tp[j];
-      task_old = task_value[e] * (1.0 - miss);
-      task_plus = task_value[e] * (1.0 - miss * (1.0 - quality[e]));
-    }
-
-    double worker_old;
-    double worker_plus;
-    if (modular) {
-      const std::size_t m = w_edges.size();
-      terms.resize(m);
-      const EdgeId* we = w_edges.data();
-      double* tp = terms.data();
-#pragma omp simd
-      for (std::size_t j = 0; j < m; ++j) tp[j] = benefit[we[j]];
-      double sum = 0.0;
-      for (std::size_t j = 0; j < m; ++j) sum += tp[j];
-      worker_old = sum;
-      worker_plus = sum + benefit[e];
-    } else {
-      const double fatigue = market_->worker(w).fatigue;
-      const std::size_t m = w_edges.size();
-      values.resize(m);
-      const EdgeId* we = w_edges.data();
-      double* vp = values.data();
-#pragma omp simd
-      for (std::size_t j = 0; j < m; ++j) vp[j] = benefit[we[j]];
-      values_plus = values;
-      values_plus.push_back(benefit[e]);
-      std::sort(values.begin(), values.end(), std::greater<>());
-      std::sort(values_plus.begin(), values_plus.end(), std::greater<>());
-      // fatigue^k ladder: sequential by definition (each rung is the
-      // previous one's rounded product, exactly as the scalar fold
-      // computes it on the fly).
-      weights.resize(m + 1);
+  double worker_old;
+  double worker_plus;
+  if (modular) {
+    double sum = 0.0;
+    for (EdgeId we : WorkerEdges(w)) sum += benefit[we];
+    worker_old = sum;
+    worker_plus = sum + benefit[e];
+  } else {
+    const double fatigue = market_->worker(w).fatigue;
+    // Build both benefit lists in the from-scratch path's input order
+    // (incumbents in edge order, candidate appended) before sorting, so
+    // even ties land exactly where std::sort puts them there.
+    ArenaVector<double>& values = gain_values_;
+    ArenaVector<double>& values_plus = gain_values_plus_;
+    values.clear();
+    values_plus.clear();
+    for (EdgeId we : WorkerEdges(w)) values.push_back(benefit[we]);
+    values_plus = values;
+    values_plus.push_back(benefit[e]);
+    std::sort(values.begin(), values.end(), std::greater<>());
+    std::sort(values_plus.begin(), values_plus.end(), std::greater<>());
+    const auto fold = [fatigue](const ArenaVector<double>& vals) {
+      double utility = 0.0;
       double weight = 1.0;
-      for (std::size_t j = 0; j <= m; ++j) {
-        weights[j] = weight;
+      for (double v : vals) {
+        utility += weight * v;
         weight *= fatigue;
       }
-      terms.resize(m + 1);
-      double* tp = terms.data();
-      const double* wp = weights.data();
-#pragma omp simd
-      for (std::size_t j = 0; j < m; ++j) tp[j] = wp[j] * vp[j];
-      double utility = 0.0;
-      for (std::size_t j = 0; j < m; ++j) utility += tp[j];
-      worker_old = utility;
-      const double* vpp = values_plus.data();
-#pragma omp simd
-      for (std::size_t j = 0; j <= m; ++j) tp[j] = wp[j] * vpp[j];
-      utility = 0.0;
-      for (std::size_t j = 0; j <= m; ++j) utility += tp[j];
-      worker_plus = utility;
-    }
-
-    out[i] = alpha * (task_plus - task_old) +
-             (1.0 - alpha) * (worker_plus - worker_old);
+      return utility;
+    };
+    worker_old = fold(values);
+    worker_plus = fold(values_plus);
   }
+
+  const double alpha = objective_->alpha();
+  return alpha * (task_plus - task_old) +
+         (1.0 - alpha) * (worker_plus - worker_old);
 }
-#endif  // MBTA_SIMD
 
 void ObjectiveState::Add(EdgeId e) {
   MBTA_CHECK(CanAdd(e));

@@ -2,31 +2,7 @@
 
 namespace mbta {
 
-#if MBTA_OBS_THREADSAFE
-
-CounterRegistry::CounterRegistry(const CounterRegistry& other) {
-  MutexLock lock(&other.mu_);
-  counters_ = other.counters_;
-  gauges_ = other.gauges_;
-}
-
-CounterRegistry& CounterRegistry::operator=(const CounterRegistry& other)
-    MBTA_OBS_NO_TSA {
-  if (this == &other) return *this;
-  // Address-ordered double lock, same discipline as Merge.
-  Mutex* first = this < &other ? &mu_ : &other.mu_;
-  Mutex* second = this < &other ? &other.mu_ : &mu_;
-  MutexLock lock_first(first);
-  MutexLock lock_second(second);
-  counters_ = other.counters_;
-  gauges_ = other.gauges_;
-  return *this;
-}
-
-#endif  // MBTA_OBS_THREADSAFE
-
 void CounterRegistry::Add(std::string_view key, std::uint64_t delta) {
-  MBTA_OBS_LOCK(mu_);
   auto it = counters_.find(key);
   if (it == counters_.end()) {
     counters_.emplace(std::string(key), delta);
@@ -36,7 +12,6 @@ void CounterRegistry::Add(std::string_view key, std::uint64_t delta) {
 }
 
 void CounterRegistry::Set(std::string_view key, std::uint64_t value) {
-  MBTA_OBS_LOCK(mu_);
   auto it = counters_.find(key);
   if (it == counters_.end()) {
     counters_.emplace(std::string(key), value);
@@ -46,7 +21,6 @@ void CounterRegistry::Set(std::string_view key, std::uint64_t value) {
 }
 
 void CounterRegistry::SetGauge(std::string_view key, double value) {
-  MBTA_OBS_LOCK(mu_);
   auto it = gauges_.find(key);
   if (it == gauges_.end()) {
     gauges_.emplace(std::string(key), value);
@@ -56,39 +30,27 @@ void CounterRegistry::SetGauge(std::string_view key, double value) {
 }
 
 std::uint64_t CounterRegistry::Value(std::string_view key) const {
-  MBTA_OBS_LOCK(mu_);
   const auto it = counters_.find(key);
   return it == counters_.end() ? 0 : it->second;
 }
 
 double CounterRegistry::Gauge(std::string_view key) const {
-  MBTA_OBS_LOCK(mu_);
   const auto it = gauges_.find(key);
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
 bool CounterRegistry::Has(std::string_view key) const {
-  MBTA_OBS_LOCK(mu_);
   return counters_.find(key) != counters_.end() ||
          gauges_.find(key) != gauges_.end();
 }
 
 void CounterRegistry::Clear() {
-  MBTA_OBS_LOCK(mu_);
   counters_.clear();
   gauges_.clear();
 }
 
-// Unchecked by the thread-safety analysis: the address-ordered double
-// lock below is a pattern the annotations cannot express.
-void CounterRegistry::Merge(const CounterRegistry& other) MBTA_OBS_NO_TSA {
+void CounterRegistry::Merge(const CounterRegistry& other) {
   if (this == &other) return;
-#if MBTA_OBS_THREADSAFE
-  Mutex* first = this < &other ? &mu_ : &other.mu_;
-  Mutex* second = this < &other ? &other.mu_ : &mu_;
-  MutexLock lock_first(first);
-  MutexLock lock_second(second);
-#endif
   for (const auto& [key, value] : other.counters_) {
     auto it = counters_.find(key);
     if (it == counters_.end()) {

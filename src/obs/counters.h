@@ -6,8 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/threading.h"
-
 namespace mbta {
 
 /// Registry of named work counters (monotone uint64) and gauges (double
@@ -19,23 +17,10 @@ namespace mbta {
 /// once per solve, so the registry itself is never on a hot path; when
 /// instrumentation is disabled (the caller passed no SolveStats) nothing
 /// is allocated or touched at all. Iteration is in key order, so every
-/// rendering of a registry is deterministic.
-///
-/// Built with -DMBTA_OBS_THREADSAFE=ON every member below is additionally
-/// safe to call from multiple threads (internal mbta::Mutex), except the
-/// raw `counters()` / `gauges()` views, which require the registry to be
-/// quiescent — take them after workers have joined, as reporting code
-/// does. The default build carries no mutex and no locking cost.
+/// rendering of a registry is deterministic. Single-threaded: a
+/// registry has one writer at a time.
 class CounterRegistry {
  public:
-#if MBTA_OBS_THREADSAFE
-  CounterRegistry() = default;
-  /// Copies snapshot the source under its lock; the copy starts with a
-  /// fresh, unlocked mutex.
-  CounterRegistry(const CounterRegistry& other);
-  CounterRegistry& operator=(const CounterRegistry& other);
-#endif
-
   /// Adds `delta` to the counter `key`, creating it at zero first.
   void Add(std::string_view key, std::uint64_t delta = 1);
 
@@ -54,36 +39,24 @@ class CounterRegistry {
 
   bool Has(std::string_view key) const;
 
-  bool empty() const {
-    MBTA_OBS_LOCK(mu_);
-    return counters_.empty() && gauges_.empty();
-  }
+  bool empty() const { return counters_.empty() && gauges_.empty(); }
   void Clear();
 
-  /// Key-ordered views for reporting. Not locked: callers must ensure no
-  /// concurrent writers (reporting runs after the solve / after join).
-  const std::map<std::string, std::uint64_t, std::less<>>& counters() const
-      MBTA_OBS_NO_TSA {
+  /// Key-ordered views for reporting.
+  const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
     return counters_;
   }
-  const std::map<std::string, double, std::less<>>& gauges() const
-      MBTA_OBS_NO_TSA {
+  const std::map<std::string, double, std::less<>>& gauges() const {
     return gauges_;
   }
 
   /// Adds every counter/gauge of `other` into this registry (counters sum,
   /// gauges overwrite). Used to roll per-phase registries into a total.
-  /// Thread-safe builds lock both registries in address order.
   void Merge(const CounterRegistry& other);
 
  private:
-#if MBTA_OBS_THREADSAFE
-  mutable Mutex mu_;
-#endif
-  std::map<std::string, std::uint64_t, std::less<>> counters_
-      MBTA_OBS_GUARDED_BY(mu_);
-  std::map<std::string, double, std::less<>> gauges_
-      MBTA_OBS_GUARDED_BY(mu_);
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, double, std::less<>> gauges_;
 };
 
 }  // namespace mbta

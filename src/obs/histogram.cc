@@ -83,37 +83,12 @@ std::vector<double> GainBoundaries() {
   return ExponentialBoundaries(1e-4, 4.0, 16);
 }
 
-std::vector<double> BatchSizeBoundaries() {
-  return ExponentialBoundaries(1.0, 2.0, 16);
-}
-
 std::vector<double> LatencyBoundariesMs() {
   return ExponentialBoundaries(1e-3, 2.0, 24);
 }
 
-#if MBTA_OBS_THREADSAFE
-
-HistogramRegistry::HistogramRegistry(const HistogramRegistry& other) {
-  MutexLock lock(&other.mu_);
-  histograms_ = other.histograms_;
-}
-
-HistogramRegistry& HistogramRegistry::operator=(
-    const HistogramRegistry& other) MBTA_OBS_NO_TSA {
-  if (this == &other) return *this;
-  Mutex* first = this < &other ? &mu_ : &other.mu_;
-  Mutex* second = this < &other ? &other.mu_ : &mu_;
-  MutexLock lock_first(first);
-  MutexLock lock_second(second);
-  histograms_ = other.histograms_;
-  return *this;
-}
-
-#endif  // MBTA_OBS_THREADSAFE
-
 void HistogramRegistry::Add(std::string_view key,
                             const Histogram& histogram) {
-  MBTA_OBS_LOCK(mu_);
   auto it = histograms_.find(key);
   if (it == histograms_.end()) {
     histograms_.emplace(std::string(key), histogram);
@@ -123,26 +98,16 @@ void HistogramRegistry::Add(std::string_view key,
 }
 
 const Histogram* HistogramRegistry::Find(std::string_view key) const {
-  MBTA_OBS_LOCK(mu_);
   const auto it = histograms_.find(key);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 void HistogramRegistry::Clear() {
-  MBTA_OBS_LOCK(mu_);
   histograms_.clear();
 }
 
-// Address-ordered double lock; the annotations cannot express it.
-void HistogramRegistry::Merge(const HistogramRegistry& other)
-    MBTA_OBS_NO_TSA {
+void HistogramRegistry::Merge(const HistogramRegistry& other) {
   if (this == &other) return;
-#if MBTA_OBS_THREADSAFE
-  Mutex* first = this < &other ? &mu_ : &other.mu_;
-  Mutex* second = this < &other ? &other.mu_ : &mu_;
-  MutexLock lock_first(first);
-  MutexLock lock_second(second);
-#endif
   for (const auto& [key, histogram] : other.histograms_) {
     auto it = histograms_.find(key);
     if (it == histograms_.end()) {

@@ -8,8 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/threading.h"
-
 namespace mbta {
 
 /// Fixed-boundary histogram with deterministic bucketing. Boundaries are
@@ -20,7 +18,7 @@ namespace mbta {
 /// overflow bucket [boundaries.back(), +inf)). Because the boundaries are
 /// compile-time-chosen constants — never derived from the data — the
 /// bucket counts for a deterministic value stream are byte-identical
-/// across runs and thread counts, so they can sit in bench records that
+/// across runs, so they can sit in bench records that
 /// `bench_compare` diffs exactly.
 ///
 /// Like the other obs value types, Histogram is a plain single-threaded
@@ -77,60 +75,37 @@ std::vector<double> LinearBoundaries(double first, double step,
 /// corresponding histogram so rows stay comparable across solvers:
 ///  * GainBoundaries        — committed marginal gains ("greedy/gain"):
 ///                            1e-4 * 4^k, 16 boundaries (1e-4 .. ~1e5).
-///  * BatchSizeBoundaries   — batched-kernel sizes
-///                            ("solve/parallel/batch_size"): powers of
-///                            two, 1 .. 32768.
 ///  * LatencyBoundariesMs   — per-event latencies in milliseconds
-///                            ("latency/..."): 1e-3 * 2^k, 24 boundaries
-///                            (1µs .. ~8.4s).
+///                            ("latency/epoch_ms"): 1e-3 * 2^k, 24
+///                            boundaries (1µs .. ~8.4s).
 std::vector<double> GainBoundaries();
-std::vector<double> BatchSizeBoundaries();
 std::vector<double> LatencyBoundariesMs();
 
 /// Registry of named histograms, mirroring CounterRegistry: stable
 /// slash-path keys (lint rule R5 applies), key-ordered iteration so every
-/// rendering is deterministic, publish-once-per-solve usage. Built with
-/// -DMBTA_OBS_THREADSAFE=ON, Add/Clear/empty/Merge are safe to call
-/// concurrently; the raw `histograms()` view requires quiescence, like
-/// CounterRegistry's.
+/// rendering is deterministic, publish-once-per-solve usage.
 class HistogramRegistry {
  public:
-#if MBTA_OBS_THREADSAFE
-  HistogramRegistry() = default;
-  HistogramRegistry(const HistogramRegistry& other);
-  HistogramRegistry& operator=(const HistogramRegistry& other);
-#endif
-
   /// Merges `histogram` into the entry at `key`, inserting a copy when
   /// the key is new. This is the publish step at the end of a solve.
   void Add(std::string_view key, const Histogram& histogram);
 
   /// The histogram registered at `key`; nullptr when never published.
-  /// The pointer is only stable while the registry is quiescent.
-  const Histogram* Find(std::string_view key) const MBTA_OBS_NO_TSA;
+  const Histogram* Find(std::string_view key) const;
 
-  bool empty() const {
-    MBTA_OBS_LOCK(mu_);
-    return histograms_.empty();
-  }
+  bool empty() const { return histograms_.empty(); }
   void Clear();
 
-  /// Key-ordered view for reporting; requires quiescence.
-  const std::map<std::string, Histogram, std::less<>>& histograms() const
-      MBTA_OBS_NO_TSA {
+  /// Key-ordered view for reporting.
+  const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
 
-  /// Merges every histogram of `other` into this registry. Thread-safe
-  /// builds lock both registries in address order.
+  /// Merges every histogram of `other` into this registry.
   void Merge(const HistogramRegistry& other);
 
  private:
-#if MBTA_OBS_THREADSAFE
-  mutable Mutex mu_;
-#endif
-  std::map<std::string, Histogram, std::less<>> histograms_
-      MBTA_OBS_GUARDED_BY(mu_);
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace mbta

@@ -2,32 +2,7 @@
 
 namespace mbta {
 
-#if MBTA_OBS_THREADSAFE
-
-PhaseTimings::PhaseTimings(const PhaseTimings& other) {
-  MutexLock lock(&other.mu_);
-  entries_ = other.entries_;
-  stack_ = other.stack_;
-  tracer_ = other.tracer_;
-}
-
-PhaseTimings& PhaseTimings::operator=(const PhaseTimings& other)
-    MBTA_OBS_NO_TSA {
-  if (this == &other) return *this;
-  Mutex* first = this < &other ? &mu_ : &other.mu_;
-  Mutex* second = this < &other ? &other.mu_ : &mu_;
-  MutexLock lock_first(first);
-  MutexLock lock_second(second);
-  entries_ = other.entries_;
-  stack_ = other.stack_;
-  tracer_ = other.tracer_;
-  return *this;
-}
-
-#endif  // MBTA_OBS_THREADSAFE
-
 void PhaseTimings::Record(std::string_view path, double ms) {
-  MBTA_OBS_LOCK(mu_);
   auto it = entries_.find(path);
   if (it == entries_.end()) {
     it = entries_.emplace(std::string(path), Entry{}).first;
@@ -37,26 +12,17 @@ void PhaseTimings::Record(std::string_view path, double ms) {
 }
 
 double PhaseTimings::TotalMs(std::string_view path) const {
-  MBTA_OBS_LOCK(mu_);
   const auto it = entries_.find(path);
   return it == entries_.end() ? 0.0 : it->second.total_ms;
 }
 
 void PhaseTimings::Clear() {
-  MBTA_OBS_LOCK(mu_);
   entries_.clear();
   stack_.clear();
 }
 
-// Address-ordered double lock; the annotations cannot express it.
-void PhaseTimings::Merge(const PhaseTimings& other) MBTA_OBS_NO_TSA {
+void PhaseTimings::Merge(const PhaseTimings& other) {
   if (this == &other) return;
-#if MBTA_OBS_THREADSAFE
-  Mutex* first = this < &other ? &mu_ : &other.mu_;
-  Mutex* second = this < &other ? &other.mu_ : &mu_;
-  MutexLock lock_first(first);
-  MutexLock lock_second(second);
-#endif
   for (const auto& [path, entry] : other.entries_) {
     auto it = entries_.find(path);
     if (it == entries_.end()) {
@@ -69,7 +35,6 @@ void PhaseTimings::Merge(const PhaseTimings& other) MBTA_OBS_NO_TSA {
 }
 
 std::size_t PhaseTimings::PushLabel(std::string_view label) {
-  MBTA_OBS_LOCK(mu_);
   const std::size_t parent_len = stack_.size();
   if (!stack_.empty()) stack_ += '/';
   stack_ += label;
@@ -77,7 +42,6 @@ std::size_t PhaseTimings::PushLabel(std::string_view label) {
 }
 
 void PhaseTimings::PopAndRecord(std::size_t parent_len, double ms) {
-  MBTA_OBS_LOCK(mu_);
   auto it = entries_.find(stack_);
   if (it == entries_.end()) {
     it = entries_.emplace(stack_, Entry{}).first;

@@ -8,7 +8,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/threading.h"
 #include "obs/trace.h"
 
 namespace mbta {
@@ -17,13 +16,7 @@ namespace mbta {
 /// and then "build_heap" records under the path "solve/build_heap", so a
 /// flat key-ordered dump reconstructs the phase tree. Re-entering a path
 /// accumulates (total ms + call count), which is what loops want.
-///
-/// Built with -DMBTA_OBS_THREADSAFE=ON, Record/TotalMs/Clear/Merge are
-/// safe to call concurrently (internal mbta::Mutex). The nesting *stack*
-/// stays a single chain, though: interleaving ScopedPhase scopes from
-/// several threads on one PhaseTimings produces garbled paths — give
-/// each worker thread its own PhaseTimings and Merge after join. The raw
-/// `entries()` view requires quiescence, like CounterRegistry's.
+/// Single-threaded, like CounterRegistry.
 class PhaseTimings {
  public:
   struct Entry {
@@ -31,39 +24,27 @@ class PhaseTimings {
     std::uint64_t calls = 0;
   };
 
-#if MBTA_OBS_THREADSAFE
-  PhaseTimings() = default;
-  PhaseTimings(const PhaseTimings& other);
-  PhaseTimings& operator=(const PhaseTimings& other);
-#endif
-
   /// Adds one timed call to `path` (a full nested path, "a/b/c").
   void Record(std::string_view path, double ms);
 
   /// Total milliseconds recorded under `path`; 0 if never entered.
   double TotalMs(std::string_view path) const;
 
-  bool empty() const {
-    MBTA_OBS_LOCK(mu_);
-    return entries_.empty();
-  }
+  bool empty() const { return entries_.empty(); }
   void Clear();
 
-  const std::map<std::string, Entry, std::less<>>& entries() const
-      MBTA_OBS_NO_TSA {
+  const std::map<std::string, Entry, std::less<>>& entries() const {
     return entries_;
   }
 
-  /// Accumulates every entry of `other` into this object. Thread-safe
-  /// builds lock both objects in address order. The tracer binding is
-  /// not merged: phase *data* rolls up, the trace stream does not.
+  /// Accumulates every entry of `other` into this object. The tracer
+  /// binding is not merged: phase *data* rolls up, the trace stream does not.
   void Merge(const PhaseTimings& other);
 
   /// Attaches a Tracer: from then on every ScopedPhase recording into
   /// this object also emits a trace span (cat "phase"), which is how all
   /// already-instrumented solvers get timeline spans without touching a
-  /// single call site. Set before the solve, clear (nullptr) to detach;
-  /// not guarded — attach/detach only while the object is quiescent.
+  /// single call site. Set before the solve, clear (nullptr) to detach.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
@@ -77,15 +58,11 @@ class PhaseTimings {
   /// back to `parent_len`.
   void PopAndRecord(std::size_t parent_len, double ms);
 
-#if MBTA_OBS_THREADSAFE
-  mutable Mutex mu_;
-#endif
-  std::map<std::string, Entry, std::less<>> entries_
-      MBTA_OBS_GUARDED_BY(mu_);
+  std::map<std::string, Entry, std::less<>> entries_;
   /// Path of the currently open ScopedPhase chain ("" at top level). Only
   /// non-empty while phases are open, so copies of a quiescent object are
   /// cheap and self-contained.
-  std::string stack_ MBTA_OBS_GUARDED_BY(mu_);
+  std::string stack_;
   /// Optional span sink; see set_tracer.
   Tracer* tracer_ = nullptr;
 };

@@ -13,12 +13,10 @@
 
 namespace mbta {
 
-class ThreadPool;
-
 /// One flight-recorder entry: a compact copy of a finished span or
 /// instant, kept in the Tracer's bounded ring (see Tracer below).
 struct FlightEvent {
-  std::string track;   // track name, e.g. "main" or "pool/worker_3"
+  std::string track;   // track name, e.g. "main" or "watchdog"
   std::string name;    // span/instant name (slash-path grammar)
   int depth = 0;       // nesting depth on its track at emission
   double ts_us = 0.0;  // start, microseconds since tracer construction
@@ -47,12 +45,11 @@ struct TraceSnapshot {
 /// Threading model: each thread binds to one named *track* (find-or-
 /// create under an internal mutex via RegisterThread; the constructing
 /// thread is pre-registered as "main"). After binding, span emission
-/// touches only the calling thread's track — no locks, no atomics — so
-/// tracing the parallel solvers costs a couple of stores per span.
-/// Emissions from a thread never registered with this tracer are dropped
-/// and counted, never raced. Two *live* threads must not share a track;
-/// re-binding a track name from a new thread (the per-solve ThreadPool
-/// pattern) is fine once the previous thread has quiesced.
+/// touches only the calling thread's track — no locks, no atomics — so a
+/// span costs a couple of stores. Emissions from a thread never
+/// registered with this tracer are dropped and counted, never raced. Two
+/// *live* threads must not share a track; re-binding a track name from a
+/// new thread is fine once the previous thread has quiesced.
 ///
 /// Determinism: span ids are per-track sequence numbers, track ids are
 /// assigned by sorted track name at write time, and events serialize in
@@ -62,8 +59,8 @@ struct TraceSnapshot {
 /// exactly that in CI.
 ///
 /// The tracer also feeds a bounded in-memory ring of finished events
-/// (the "flight recorder", mutex-guarded since spans finish on worker
-/// threads); SnapshotFlight copies out the last `flight_capacity` events
+/// (the "flight recorder", mutex-guarded since SnapshotFlight may run on
+/// another thread than the spans' owners); SnapshotFlight copies out the last `flight_capacity` events
 /// when a deadline/cancel/fallback trigger fires.
 class Tracer {
  public:
@@ -82,7 +79,7 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Binds the calling thread to the track named `track_name`
-  /// (slash-path grammar, e.g. "pool/worker_2"), creating it on first
+  /// (slash-path grammar, e.g. "service/worker"), creating it on first
   /// use. Idempotent per (thread, name); cheap after the first call.
   void RegisterThread(std::string_view track_name);
 
@@ -185,22 +182,10 @@ class Tracer {
   std::uint64_t flight_total_ MBTA_GUARDED_BY(flight_mu_) = 0;
 };
 
-/// Wires a ThreadPool into `tracer`: registers every pool worker as a
-/// "pool/worker_N" track (the deterministic ParallelFor(num_threads)
-/// identity dispatch — participant p runs exactly index p) and installs
-/// slice hooks so each pooled slice shows up as a "pool/slice" span
-/// (cat "pool") on the executing participant's track. Slice spans are
-/// the one place the trace legitimately depends on the thread count, so
-/// the cross-thread-count determinism gate diffs with
-/// `mbta_trace --diff --ignore-cat pool`. No-op when `tracer` is null or
-/// the pool is single-threaded. Call once per pool, before its first
-/// traced ParallelFor.
-void AttachPoolTracing(ThreadPool* pool, Tracer* tracer);
-
 /// RAII span, the tracing analogue of ScopedPhase:
 ///
-///   ScopedSpan span(tracer, "solve/parallel/batch", "solver");
-///   span.Arg("edges", static_cast<std::int64_t>(batch.size()));
+///   ScopedSpan span(tracer, "mcf/shortest_path", "flow");
+///   span.Arg("arcs", static_cast<std::int64_t>(arcs_scanned));
 ///
 /// A null tracer disables the span entirely (no clock read), so call
 /// sites follow the same `info != nullptr` discipline as counters. Span

@@ -1,7 +1,13 @@
 /// Unit tests for the observability primitives: the counter/gauge
-/// registry and the nesting scoped phase timer.
+/// registry and the nesting scoped phase timer, including their
+/// cross-thread contract (one writer per registry at a time, merged after
+/// join), which the TSan build checks.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/counters.h"
 #include "obs/phase_timer.h"
@@ -36,6 +42,7 @@ TEST(CounterRegistryTest, SetOverwrites) {
 TEST(CounterRegistryTest, GaugesAreSeparateFromCounters) {
   CounterRegistry registry;
   registry.SetGauge("online/calibrated_threshold", 0.75);
+  EXPECT_TRUE(registry.Has("online/calibrated_threshold"));
   EXPECT_EQ(registry.Gauge("online/calibrated_threshold"), 0.75);
   EXPECT_EQ(registry.Value("online/calibrated_threshold"), 0u);
   registry.SetGauge("online/calibrated_threshold", 0.5);
@@ -129,6 +136,123 @@ TEST(PhaseTimingsTest, MergeAccumulates) {
   EXPECT_DOUBLE_EQ(a.TotalMs("solve"), 3.0);
   EXPECT_EQ(a.entries().at("solve").calls, 2u);
   EXPECT_DOUBLE_EQ(a.TotalMs("extract"), 0.5);
+}
+
+TEST(PhaseTimingsTest, MergeKeepsNestedPaths) {
+  // The roll-up pattern: nested phases recorded into separate timings,
+  // then merged into one total.
+  PhaseTimings total;
+  for (int i = 0; i < 3; ++i) {
+    PhaseTimings part;
+    {
+      ScopedPhase solve(&part, "solve");
+      ScopedPhase scan(&part, "scan");
+    }
+    total.Merge(part);
+  }
+  EXPECT_EQ(total.entries().at("solve").calls, 3u);
+  EXPECT_EQ(total.entries().at("solve/scan").calls, 3u);
+  EXPECT_EQ(total.entries().count("scan"), 0u);
+}
+
+constexpr int kThreads = 4;
+constexpr int kItersPerThread = 20000;
+
+/// Runs `body(t)` on kThreads threads at once and joins them all.
+template <typename Body>
+void RunOnThreads(const Body& body) {
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&body, t] { body(t); });
+  }
+  for (std::thread& th : threads) th.join();
+}
+
+// The registries are single-writer: concurrent workers each fill their
+// own registry, and the owner merges them after join.
+TEST(CounterRegistryThreads, ConcurrentAddsLoseNothing) {
+  std::vector<CounterRegistry> per_thread(kThreads);
+  RunOnThreads([&per_thread](int t) {
+    CounterRegistry& reg = per_thread[static_cast<std::size_t>(t)];
+    const std::string own = "stress/thread_" + std::to_string(t);
+    for (int i = 0; i < kItersPerThread; ++i) {
+      reg.Add("stress/shared");
+      reg.Add(own, 2);
+    }
+  });
+  CounterRegistry total;
+  for (const CounterRegistry& reg : per_thread) total.Merge(reg);
+  EXPECT_EQ(total.Value("stress/shared"),
+            static_cast<std::uint64_t>(kThreads) * kItersPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(total.Value("stress/thread_" + std::to_string(t)),
+              2u * kItersPerThread);
+  }
+}
+
+TEST(CounterRegistryThreads, ConcurrentMixedOpsStayConsistent) {
+  std::vector<CounterRegistry> per_thread(kThreads);
+  RunOnThreads([&per_thread](int t) {
+    CounterRegistry& reg = per_thread[static_cast<std::size_t>(t)];
+    const std::string gauge = "stress/gauge_" + std::to_string(t);
+    for (int i = 0; i < kItersPerThread / 10; ++i) {
+      reg.Add("stress/mixed");
+      reg.SetGauge(gauge, static_cast<double>(i));
+      EXPECT_EQ(reg.Value("stress/mixed"), static_cast<std::uint64_t>(i) + 1);
+      EXPECT_TRUE(reg.Has(gauge));
+    }
+  });
+  CounterRegistry total;
+  for (const CounterRegistry& reg : per_thread) total.Merge(reg);
+  EXPECT_EQ(total.Value("stress/mixed"),
+            static_cast<std::uint64_t>(kThreads) * (kItersPerThread / 10));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_DOUBLE_EQ(total.Gauge("stress/gauge_" + std::to_string(t)),
+                     static_cast<double>(kItersPerThread / 10 - 1));
+  }
+}
+
+TEST(CounterRegistryThreads, ConcurrentMergeIntoTotal) {
+  // A registry handed from thread to thread keeps one writer at a time:
+  // each worker merges its private registry into the total, in turn.
+  CounterRegistry total;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread worker([&total, t] {
+      CounterRegistry local;
+      local.Add("merge/work", static_cast<std::uint64_t>(t) + 1);
+      local.SetGauge("merge/gauge_" + std::to_string(t), 1.0);
+      total.Merge(local);
+    });
+    worker.join();
+  }
+  std::uint64_t want = 0;
+  for (int t = 0; t < kThreads; ++t) want += static_cast<std::uint64_t>(t) + 1;
+  EXPECT_EQ(total.Value("merge/work"), want);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_DOUBLE_EQ(total.Gauge("merge/gauge_" + std::to_string(t)), 1.0);
+  }
+}
+
+TEST(PhaseTimingsThreads, ConcurrentRecordsAccumulate) {
+  std::vector<PhaseTimings> per_thread(kThreads);
+  RunOnThreads([&per_thread](int t) {
+    PhaseTimings& timings = per_thread[static_cast<std::size_t>(t)];
+    const std::string own = "solve/worker_" + std::to_string(t);
+    for (int i = 0; i < kItersPerThread / 10; ++i) {
+      timings.Record("solve", 0.001);
+      timings.Record(own, 0.002);
+    }
+  });
+  PhaseTimings total;
+  for (const PhaseTimings& pt : per_thread) total.Merge(pt);
+  const auto it = total.entries().find("solve");
+  ASSERT_NE(it, total.entries().end());
+  EXPECT_EQ(it->second.calls,
+            static_cast<std::uint64_t>(kThreads) * (kItersPerThread / 10));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_GT(total.TotalMs("solve/worker_" + std::to_string(t)), 0.0);
+  }
 }
 
 }  // namespace

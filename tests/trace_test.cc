@@ -1,19 +1,20 @@
 /// Tests for the Tracer: span nesting and depth bookkeeping, the flight
-/// recorder ring buffer, thread-track registration through the pool, and
-/// a JsonValue round-trip of the emitted Chrome trace-event JSON (the
+/// recorder ring buffer, thread-track registration and the
+/// unregistered-thread drop path, and a JsonValue round-trip of the emitted Chrome trace-event JSON (the
 /// contract mbta_trace, Perfetto, and chrome://tracing all consume).
 
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json_value.h"
-#include "util/thread_pool.h"
 
 namespace mbta {
 namespace {
@@ -202,48 +203,66 @@ TEST(Tracer, JsonCarriesChromeTraceFields) {
   EXPECT_EQ(mbta->Find("dropped_events")->NumberOr(-1.0), 0.0);
 }
 
-TEST(Tracer, PoolWorkersRegisterDeterministicTracks) {
+TEST(Tracer, ThreadsRegisterNamedTracks) {
+  // Registration and the flight ring are the Tracer's cross-thread
+  // surfaces; these threads run concurrently, so the TSan build checks
+  // their locking.
   Tracer tracer;
-  {
-    ThreadPool pool(4);
-    AttachPoolTracing(&pool, &tracer);
-    pool.ParallelFor(64, [](std::size_t) {});
+  std::vector<std::thread> threads;
+  for (int i = 1; i <= 3; ++i) {
+    threads.emplace_back([&tracer, i] {
+      tracer.RegisterThread("worker/" + std::to_string(i));
+      ScopedSpan span(&tracer, "work/item", "test");
+      span.Arg("worker", static_cast<std::int64_t>(i));
+    });
   }
+  for (std::thread& t : threads) t.join();
 
   JsonValue doc;
   ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc));
   const auto metadata = EventsWithPhase(doc, "M");
-  // process_name + main + 3 workers.
+  // process_name + main + 3 workers, tracks in name order.
   ASSERT_EQ(metadata.size(), 5u);
   std::vector<std::string> names;
   for (std::size_t i = 1; i < metadata.size(); ++i) {
     names.push_back(std::string(
         metadata[i]->Find("args")->Find("name")->StringOr("")));
   }
-  const std::vector<std::string> expected = {"main", "pool/worker_1",
-                                             "pool/worker_2",
-                                             "pool/worker_3"};
+  const std::vector<std::string> expected = {"main", "worker/1", "worker/2",
+                                             "worker/3"};
   EXPECT_EQ(names, expected);
 
-  // Every participant (main included) emitted one pool/slice span for
-  // the 64-task job, each covering 16 tasks.
+  // One span per worker, each on its own track.
   const auto spans = EventsWithPhase(doc, "X");
-  ASSERT_EQ(spans.size(), 4u);
+  ASSERT_EQ(spans.size(), 3u);
+  std::vector<double> tids;
   for (const JsonValue* span : spans) {
-    EXPECT_EQ(std::string(span->Find("name")->StringOr("")), "pool/slice");
-    EXPECT_EQ(std::string(span->Find("cat")->StringOr("")), "pool");
-    EXPECT_EQ(span->Find("args")->Find("tasks")->NumberOr(-1.0), 16.0);
+    EXPECT_EQ(std::string(span->Find("name")->StringOr("")), "work/item");
+    tids.push_back(span->Find("tid")->NumberOr(-1.0));
   }
+  std::sort(tids.begin(), tids.end());
+  EXPECT_EQ(std::unique(tids.begin(), tids.end()), tids.end());
+  EXPECT_EQ(tracer.dropped_events(), 0u);
+  EXPECT_EQ(tracer.SnapshotFlight("deadline").events.size(), 3u);
 }
 
-TEST(Tracer, SingleThreadPoolNeedsNoTracks) {
+TEST(Tracer, UnregisteredThreadSpansAreDroppedAndCounted) {
   Tracer tracer;
-  ThreadPool pool(1);
-  AttachPoolTracing(&pool, &tracer);  // no-op: inline execution only
-  pool.ParallelFor(8, [](std::size_t) {});
+  std::thread stranger([&tracer] {
+    // Never registered: the span and the instant are dropped, not raced
+    // onto another thread's track.
+    { ScopedSpan span(&tracer, "work/item", "test"); }
+    tracer.Instant("work/tick", "test");
+  });
+  stranger.join();
+
+  EXPECT_EQ(tracer.dropped_events(), 2u);
   JsonValue doc;
   ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc));
+  EXPECT_EQ(doc.Find("mbta")->Find("tracks")->NumberOr(-1.0), 1.0);
   EXPECT_EQ(doc.Find("mbta")->Find("events")->NumberOr(-1.0), 0.0);
+  EXPECT_EQ(doc.Find("mbta")->Find("dropped_events")->NumberOr(-1.0), 2.0);
+  EXPECT_TRUE(tracer.SnapshotFlight("deadline").events.empty());
 }
 
 TEST(Tracer, WriteFileRoundTrips) {

@@ -36,7 +36,7 @@ class Linter {
       if (scope_.subsystem != "util" && scope_.subsystem != "obs") {
         RuleRawClock();
       }
-      if (scope_.subsystem != "util") RuleRawThreads();
+      RuleRawThreads();
       if (scope_.subsystem == "core" || scope_.subsystem == "flow") {
         RuleLoopAlloc();
       }
@@ -357,7 +357,7 @@ class Linter {
     }
   }
 
-  // R8 — raw threading primitives outside the ThreadPool seam.
+  // R8 — raw threading primitives in library code.
   void RuleRawThreads() {
     static const std::set<std::string> kBanned = {"thread", "jthread",
                                                   "async"};
@@ -370,11 +370,9 @@ class Linter {
       if (!(IsIdent(i - 2, "std") && IsPunct(i - 1, "::"))) continue;
       Report(t.line, "R8", "thread-ok",
              "std::" + t.text +
-                 " outside src/util: spawn parallelism through "
-                 "mbta::ThreadPool (src/util/thread_pool.h) so slicing "
-                 "stays deterministic and the determinism gate in "
-                 "tests/differential_test.cc keeps meaning something "
-                 "(waive with // mbta-lint: thread-ok(reason))");
+                 " in library code: the library is single-threaded, "
+                 "so spawning belongs to the caller (tests, tools, "
+                 "bench); waive with // mbta-lint: thread-ok(reason)");
     }
   }
 

@@ -54,12 +54,9 @@ struct Violation {
 ///       high_resolution_clock and sleep_for/sleep_until bypass the
 ///       injectable Clock seam (src/util/clock.h), making deadline code
 ///       untestable with FakeClock. Waiver: clock-ok.
-///   R8  no raw threading primitives in library code outside src/util:
-///       std::thread, std::jthread and std::async bypass the
-///       deterministic ThreadPool seam (src/util/thread_pool.h), whose
-///       fixed contiguous slicing is what makes the parallel solvers'
-///       byte-identical-at-any-thread-count contract checkable.
-///       Waiver: thread-ok.
+///   R8  no raw threading primitives in library code: std::thread,
+///       std::jthread and std::async. The library is single-threaded;
+///       callers (tests, tools, bench) own any threads. Waiver: thread-ok.
 ///   R9  no heap allocation in solver inner loops: `new`, std::make_unique
 ///       / make_shared, and standard-container construction (vector,
 ///       string, map, set, deque, queue, priority_queue, unordered_*, ...)

@@ -30,7 +30,7 @@
 ///     over-approximation is deliberate — for taint and reachability we
 ///     want the union over possible virtual targets. Preprocessor
 ///     branches are all visible (#if bodies lex like plain code), so
-///     both sides of MBTA_OBS_THREADSAFE are analyzed.
+///     both sides of every #if are analyzed.
 ///   * operator overloads and lambdas are not indexed as functions
 ///     (calls inside a lambda attribute to the enclosing function).
 namespace mbta::lint {

@@ -1013,7 +1013,7 @@ std::string SarifReport(const std::vector<Violation>& violations) {
       {"R5", "Observability names follow the slash-path grammar"},
       {"R6", "Headers carry guards and include what they use"},
       {"R7", "No raw monotonic clocks or sleeps outside the Clock seam"},
-      {"R8", "No raw threading primitives outside the ThreadPool seam"},
+      {"R8", "No raw threading primitives in library code"},
       {"R9", "No heap allocation in (or reachable from) solver loops"},
       {"R10", "No call path from a solver entry to a nondeterminism sink"},
       {"R11", "GUARDED_BY/REQUIRES lock discipline holds across TUs"},

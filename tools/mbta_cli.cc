@@ -9,14 +9,16 @@
 ///   mbta_cli evaluate --market m.market --assignment a.assignment
 ///   mbta_cli compare  --market m.market --alpha 0.5
 ///
-/// Solvers: greedy, parallel-greedy, threshold, local-search, stable-da,
+/// Solvers: greedy, greedy-plain, threshold, local-search, stable-da,
 /// matching, worker-centric, requester-centric, random, online-greedy,
-/// online-two-phase, exact-flow (modular objective only). The
-/// parallel-greedy family honors --threads (results are byte-identical
-/// at any thread count; threads buy wall time only).
+/// online-two-phase, exact-flow (modular objective only).
+///
+/// Each command accepts exactly the flags its usage line lists; an
+/// unknown flag, a valued flag given without a value, or a numeric value
+/// that does not parse completely is a usage error (exit 1).
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -32,7 +34,6 @@
 #include "core/greedy_solver.h"
 #include "core/local_search_solver.h"
 #include "core/online_solvers.h"
-#include "core/parallel_greedy_solver.h"
 #include "core/solver.h"
 #include "core/stable_matching_solver.h"
 #include "core/threshold_solver.h"
@@ -62,7 +63,20 @@ constexpr int kExitBadInput = 2;
 constexpr int kExitDegraded = 3;
 constexpr int kExitInternal = 4;
 
+/// Parses all of `text` as a T; false on an empty, partial or
+/// out-of-range parse.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+/// Flag values are checked against the command's FlagSpec list before
+/// any command runs, so the typed getters below cannot see a malformed
+/// number.
 struct Args {
+  /// Flag name → value; "" for a flag given bare, like `--stats`.
   std::map<std::string, std::string> flags;
 
   std::string Get(const std::string& key, const std::string& fallback) const {
@@ -70,16 +84,17 @@ struct Args {
     return it == flags.end() ? fallback : it->second;
   }
   double GetDouble(const std::string& key, double fallback) const {
+    double value = fallback;
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    if (it != flags.end()) ParseWhole(it->second, &value);
+    return value;
   }
   std::uint64_t GetUint(const std::string& key,
                         std::uint64_t fallback) const {
+    std::uint64_t value = fallback;
     const auto it = flags.find(key);
-    return it == flags.end()
-               ? fallback
-               : static_cast<std::uint64_t>(
-                     std::strtoull(it->second.c_str(), nullptr, 10));
+    if (it != flags.end()) ParseWhole(it->second, &value);
+    return value;
   }
   bool GetBool(const std::string& key) const {
     return flags.find(key) != flags.end();
@@ -131,20 +146,22 @@ int Usage() {
       "  solve    --market FILE [--solver greedy] [--alpha 0.5]\n"
       "           [--objective submodular|modular] [--seed S] [--stats]\n"
       "           [--work-budget N] [--deadline-ms MS] [--fallback]\n"
-      "           [--threads N] [--trace FILE] --out FILE\n"
+      "           [--trace FILE] --out FILE\n"
       "  evaluate --market FILE --assignment FILE [--alpha 0.5]\n"
       "           [--objective submodular|modular]\n"
-      "  compare  --market FILE [--alpha 0.5] [--stats]\n"
+      "  compare  --market FILE [--alpha 0.5]\n"
+      "           [--objective submodular|modular] [--seed S] [--stats]\n"
       "  serve    --script FILE [--wal FILE] [--epoch-batch N] [--queue N]\n"
       "           [--snapshot-every N] [--resolve-ratio R] [--work-budget N]\n"
-      "           [--degrade-after-ms MS] [--alpha 0.5] [--out FILE]\n"
+      "           [--degrade-after-ms MS] [--alpha 0.5]\n"
+      "           [--objective submodular|modular] [--out FILE]\n"
       "           [--trace FILE] [--stats]\n"
-      "  replay   --wal FILE [--dump-state] [--stats]\n"
+      "  replay   --wal FILE [--dump-state] [--stats], plus the serve\n"
+      "           service flags (--epoch-batch ... --objective) the WAL\n"
+      "           was written with\n"
       "--stats prints the solver's work counters and phase timings\n"
       "--work-budget/--deadline-ms bound the solve; --fallback runs the\n"
       "standard degradation chain (exact flow -> greedy -> worker-centric)\n"
-      "--threads N runs the parallel solvers on N threads (same answer,\n"
-      "less wall time)\n"
       "--trace FILE records the solve as a Chrome trace-event JSON file\n"
       "(open in Perfetto or chrome://tracing, analyze with mbta_trace)\n"
       "serve drives a resident MarketService from a delta script (one\n"
@@ -160,13 +177,6 @@ std::unique_ptr<Solver> MakeSolver(const std::string& name,
   if (name == "greedy") return std::make_unique<GreedySolver>();
   if (name == "greedy-plain") {
     return std::make_unique<GreedySolver>(GreedySolver::Mode::kPlain);
-  }
-  if (name == "parallel-greedy") {
-    return std::make_unique<ParallelGreedySolver>();
-  }
-  if (name == "parallel-greedy-plain") {
-    return std::make_unique<ParallelGreedySolver>(
-        ParallelGreedySolver::Mode::kPlain);
   }
   if (name == "threshold") return std::make_unique<ThresholdSolver>();
   if (name == "local-search") return std::make_unique<LocalSearchSolver>();
@@ -273,8 +283,6 @@ int Solve(const Args& args) {
   solve_options.budget.max_work =
       args.GetUint("work-budget", DeadlineBudget::kUnlimitedWork);
   solve_options.budget.max_wall_ms = args.GetDouble("deadline-ms", 0.0);
-  solve_options.threads =
-      static_cast<int>(args.GetUint("threads", 1));
 
   std::unique_ptr<Solver> solver;
   if (args.GetBool("fallback")) {
@@ -560,22 +568,118 @@ int Replay(const Args& args) {
   return kExitOk;
 }
 
+enum class FlagKind { kString, kUint, kDouble, kSwitch };
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+};
+
+/// The flags each command accepts, mirroring its Usage() line. Null for
+/// an unknown command.
+const std::vector<FlagSpec>* CommandFlags(const std::string& command) {
+  using K = FlagKind;
+  // The MarketService configuration (MakeServiceConfig): serve takes it
+  // to run, replay to recover the same way.
+  const auto service = [](std::vector<FlagSpec> extra) {
+    std::vector<FlagSpec> flags = {
+        {"wal", K::kString},          {"epoch-batch", K::kUint},
+        {"queue", K::kUint},          {"snapshot-every", K::kUint},
+        {"resolve-ratio", K::kDouble}, {"work-budget", K::kUint},
+        {"degrade-after-ms", K::kDouble}, {"alpha", K::kDouble},
+        {"objective", K::kString},    {"stats", K::kSwitch}};
+    flags.insert(flags.end(), extra.begin(), extra.end());
+    return flags;
+  };
+  static const std::map<std::string, std::vector<FlagSpec>> kFlags = {
+      {"generate",
+       {{"dataset", K::kString},
+        {"workers", K::kUint},
+        {"tasks", K::kUint},
+        {"seed", K::kUint},
+        {"out", K::kString}}},
+      {"stats", {{"market", K::kString}}},
+      {"solve",
+       {{"market", K::kString},
+        {"solver", K::kString},
+        {"alpha", K::kDouble},
+        {"objective", K::kString},
+        {"seed", K::kUint},
+        {"stats", K::kSwitch},
+        {"work-budget", K::kUint},
+        {"deadline-ms", K::kDouble},
+        {"fallback", K::kSwitch},
+        {"trace", K::kString},
+        {"out", K::kString}}},
+      {"evaluate",
+       {{"market", K::kString},
+        {"assignment", K::kString},
+        {"alpha", K::kDouble},
+        {"objective", K::kString}}},
+      {"compare",
+       {{"market", K::kString},
+        {"alpha", K::kDouble},
+        {"objective", K::kString},
+        {"seed", K::kUint},
+        {"stats", K::kSwitch}}},
+      {"serve", service({{"script", K::kString},
+                         {"out", K::kString},
+                         {"trace", K::kString}})},
+      {"replay", service({{"dump-state", K::kSwitch}})},
+  };
+  const auto it = kFlags.find(command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
+/// Checks every given flag against `specs`; prints the first problem and
+/// returns false.
+bool ValidateFlags(const std::string& command, const Args& args,
+                   const std::vector<FlagSpec>& specs) {
+  for (const auto& [name, value] : args.flags) {
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& s : specs) {
+      if (name == s.name) spec = &s;
+    }
+    const char* problem = nullptr;
+    if (spec == nullptr) {
+      problem = "is not a flag of";
+    } else if (spec->kind != FlagKind::kSwitch && value.empty()) {
+      problem = "needs a value in";
+    } else if (spec->kind == FlagKind::kUint) {
+      std::uint64_t parsed = 0;
+      if (!ParseWhole(value, &parsed)) problem = "needs a whole number in";
+    } else if (spec->kind == FlagKind::kDouble) {
+      double parsed = 0.0;
+      if (!ParseWhole(value, &parsed)) problem = "needs a number in";
+    }
+    if (problem != nullptr) {
+      std::fprintf(stderr, "error: --%s %s '%s'\n", name.c_str(), problem,
+                   command.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
+  const std::vector<FlagSpec>* specs = CommandFlags(command);
+  if (specs == nullptr) return Usage();
   Args args;
   for (int i = 2; i < argc;) {
     if (std::strncmp(argv[i], "--", 2) != 0) return Usage();
-    // A flag followed by another flag (or by nothing) is boolean, e.g.
+    // A flag followed by another flag (or by nothing) is bare, e.g.
     // `--stats`; otherwise the next token is its value.
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       args.flags[argv[i] + 2] = argv[i + 1];
       i += 2;
     } else {
-      args.flags[argv[i] + 2] = "1";
+      args.flags[argv[i] + 2] = "";
       i += 1;
     }
   }
+  if (!ValidateFlags(command, args, *specs)) return kExitUsage;
   if (command == "generate") return Generate(args);
   if (command == "stats") return Stats(args);
   if (command == "solve") return Solve(args);

@@ -11,14 +11,12 @@
 ///       max-duration child at every level: the chain a latency
 ///       investigation should read first.
 ///
-///   mbta_trace --diff <a.json> <b.json> [--ignore-cat CAT]
+///   mbta_trace --diff <a.json> <b.json>
 ///       Compares the two traces as *sequences* — per track (matched by
 ///       thread name, not tid): event name, category, phase, nesting
 ///       depth, and args, in emission order. Timestamps, durations, and
 ///       ids are excluded, so two runs of a deterministic program must
-///       diff clean even though their clocks differ. `--ignore-cat`
-///       drops a category first (e.g. "pool": slice spans exist only on
-///       multi-thread runs, so cross-thread-count diffs ignore them).
+///       diff clean even though their clocks differ.
 ///
 /// Exit codes: 0 ok / 1 usage / 2 bad input / 3 traces differ.
 ///
@@ -283,8 +281,7 @@ int CriticalPath(std::vector<Track>& tracks) {
 
 /// One comparable line per event: everything deterministic, nothing
 /// clock-derived.
-std::vector<std::string> NormalizedSequence(const std::vector<Track>& tracks,
-                                            const std::string& ignore_cat) {
+std::vector<std::string> NormalizedSequence(const std::vector<Track>& tracks) {
   // Tracks match by name across files; sort so a tid permutation between
   // the two files cannot masquerade as a difference.
   std::vector<const Track*> ordered;
@@ -294,7 +291,6 @@ std::vector<std::string> NormalizedSequence(const std::vector<Track>& tracks,
   std::vector<std::string> lines;
   for (const Track* track : ordered) {
     for (const TraceEvent& event : track->events) {
-      if (!ignore_cat.empty() && event.cat == ignore_cat) continue;
       std::string line = track->name;
       line += "|" + std::to_string(event.depth);
       line += "|" + event.cat;
@@ -307,8 +303,7 @@ std::vector<std::string> NormalizedSequence(const std::vector<Track>& tracks,
   return lines;
 }
 
-int Diff(const char* path_a, const char* path_b,
-         const std::string& ignore_cat) {
+int Diff(const char* path_a, const char* path_b) {
   std::vector<Track> tracks_a, tracks_b;
   std::string error;
   if (!LoadTrace(path_a, &tracks_a, &error) ||
@@ -316,8 +311,8 @@ int Diff(const char* path_a, const char* path_b,
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  const std::vector<std::string> a = NormalizedSequence(tracks_a, ignore_cat);
-  const std::vector<std::string> b = NormalizedSequence(tracks_b, ignore_cat);
+  const std::vector<std::string> a = NormalizedSequence(tracks_a);
+  const std::vector<std::string> b = NormalizedSequence(tracks_b);
 
   const std::size_t common = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < common; ++i) {
@@ -339,7 +334,7 @@ int Diff(const char* path_a, const char* path_b,
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <trace.json> [--top N] [--critical-path]\n"
-               "       %s --diff <a.json> <b.json> [--ignore-cat CAT]\n"
+               "       %s --diff <a.json> <b.json>\n"
                "exit codes: 0 ok, 1 usage, 2 bad input, 3 traces differ\n",
                argv0, argv0);
   return 1;
@@ -353,16 +348,8 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage(argv[0]);
 
   if (std::string(argv[1]) == "--diff") {
-    if (argc < 4) return Usage(argv[0]);
-    std::string ignore_cat;
-    for (int i = 4; i + 1 < argc; i += 2) {
-      if (std::string(argv[i]) == "--ignore-cat") {
-        ignore_cat = argv[i + 1];
-      } else {
-        return Usage(argv[0]);
-      }
-    }
-    return Diff(argv[2], argv[3], ignore_cat);
+    if (argc != 4) return Usage(argv[0]);
+    return Diff(argv[2], argv[3]);
   }
 
   int top = 0;
