@@ -9,27 +9,16 @@
 #include <sys/utsname.h>
 #endif
 
-#include "core/baseline_solvers.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
-#include "core/threshold_solver.h"
+#include "core/solver_registry.h"
 #include "obs/json_writer.h"
 
 namespace mbta::bench {
 
 std::vector<std::unique_ptr<Solver>> SweepSolvers(std::uint64_t seed) {
-  std::vector<std::unique_ptr<Solver>> solvers;
-  solvers.push_back(std::make_unique<GreedySolver>());
-  solvers.push_back(std::make_unique<ThresholdSolver>());
-  LocalSearchSolver::Options ls;
-  ls.max_passes = 2;
-  solvers.push_back(std::make_unique<LocalSearchSolver>(ls));
-  solvers.push_back(std::make_unique<WorkerCentricSolver>());
-  solvers.push_back(std::make_unique<RequesterCentricSolver>());
-  solvers.push_back(std::make_unique<RandomSolver>(seed));
-  solvers.push_back(std::make_unique<OnlineGreedySolver>(seed));
-  return solvers;
+  return CreateSolvers({"greedy", "threshold", "local-search",
+                        "worker-centric", "requester-centric", "random",
+                        "online-greedy"},
+                       {.seed = seed, .max_passes = 2});
 }
 
 std::string ConsumeFlagValue(int* argc, char** argv,

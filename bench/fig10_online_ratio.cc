@@ -10,12 +10,14 @@
 /// yields constant competitive guarantees, which is why the trade-off is
 /// worth a figure.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "core/greedy_solver.h"
 #include "core/online_solvers.h"
+#include "core/solver_registry.h"
 
 int main(int argc, char** argv) {
   using namespace mbta;
@@ -38,31 +40,25 @@ int main(int argc, char** argv) {
 
   constexpr int kOrders = 5;
   Table table({"sample fraction", "algorithm", "MB", "ratio vs offline"});
+  // `sum` is the MB total over the kOrders arrival orders.
+  const auto report = [&](const std::string& fraction, const char* algorithm,
+                          double sum) {
+    table.AddRow({fraction, algorithm, Table::Num(sum / kOrders),
+                  Table::Num(sum / kOrders / offline)});
+    json.AddRow({{"sample_fraction", fraction}, {"algorithm", algorithm}},
+                {{"mutual_benefit", sum / kOrders},
+                 {"ratio_vs_offline", sum / kOrders / offline}});
+  };
 
-  double online_sum = 0.0;
-  for (int i = 0; i < kOrders; ++i) {
-    const auto order = RandomArrivalOrder(market.NumWorkers(), 100 + i);
-    online_sum += obj.Value(OnlineGreedySolver().SolveWithOrder(p, order));
+  // Worker arrivals, and the symmetric model where tasks arrive against
+  // a standing worker pool; seed s draws arrival order s.
+  for (const char* name : {"online-greedy", "online-task-greedy"}) {
+    double sum = 0.0;
+    for (std::uint64_t seed = 100; seed < 100 + kOrders; ++seed) {
+      sum += obj.Value(CreateSolver(name, {.seed = seed})->Solve(p));
+    }
+    report("0.0", name, sum);
   }
-  table.AddRow({"0.0", "online-greedy", Table::Num(online_sum / kOrders),
-                Table::Num(online_sum / kOrders / offline)});
-  json.AddRow({{"sample_fraction", "0.0"}, {"algorithm", "online-greedy"}},
-              {{"mutual_benefit", online_sum / kOrders},
-               {"ratio_vs_offline", online_sum / kOrders / offline}});
-
-  // Symmetric arrival model: tasks arrive against a standing worker pool.
-  double task_sum = 0.0;
-  for (int i = 0; i < kOrders; ++i) {
-    const auto order = RandomTaskArrivalOrder(market.NumTasks(), 100 + i);
-    task_sum +=
-        obj.Value(TaskArrivalGreedySolver().SolveWithOrder(p, order));
-  }
-  table.AddRow({"0.0", "online-task-greedy", Table::Num(task_sum / kOrders),
-                Table::Num(task_sum / kOrders / offline)});
-  json.AddRow({{"sample_fraction", "0.0"},
-               {"algorithm", "online-task-greedy"}},
-              {{"mutual_benefit", task_sum / kOrders},
-               {"ratio_vs_offline", task_sum / kOrders / offline}});
 
   for (double fraction : {0.05, 0.1, 0.2, 0.3, 0.4, 0.5}) {
     TwoPhaseOnlineSolver::Options opts;
@@ -73,13 +69,7 @@ int main(int argc, char** argv) {
       sum += obj.Value(
           TwoPhaseOnlineSolver(1, opts).SolveWithOrder(p, order));
     }
-    table.AddRow({Table::Num(fraction), "online-two-phase",
-                  Table::Num(sum / kOrders),
-                  Table::Num(sum / kOrders / offline)});
-    json.AddRow({{"sample_fraction", Table::Num(fraction)},
-                 {"algorithm", "online-two-phase"}},
-                {{"mutual_benefit", sum / kOrders},
-                 {"ratio_vs_offline", sum / kOrders / offline}});
+    report(Table::Num(fraction), "online-two-phase", sum);
   }
   std::printf("offline greedy MB = %.4f\n\n", offline);
   std::printf("%s\n", table.ToString().c_str());

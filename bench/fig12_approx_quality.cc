@@ -9,11 +9,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/baseline_solvers.h"
 #include "core/brute_force_solver.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/threshold_solver.h"
+#include "core/solver_registry.h"
 #include "util/rng.h"
 
 namespace {
@@ -60,15 +57,11 @@ int main(int argc, char** argv) {
   bench::JsonLog json(argc, argv, "fig12",
                       "random small markets, alpha=0.5, submodular");
 
-  const GreedySolver greedy;
-  const LocalSearchSolver local_search;
-  const ThresholdSolver threshold(0.1);
-  const MatchingSolver matching;
-  const RandomSolver random(3);
-  const Solver* solvers[] = {&greedy, &local_search, &threshold, &matching,
-                             &random};
+  const auto solvers = CreateSolvers(
+      {"greedy", "local-search", "threshold", "matching", "random"},
+      {.seed = 3});
 
-  std::vector<std::vector<double>> ratios(std::size(solvers));
+  std::vector<std::vector<double>> ratios(solvers.size());
   Rng rng(42);
   int instances = 0;
   while (instances < 60) {
@@ -80,13 +73,13 @@ int main(int argc, char** argv) {
     const double optimum = obj.Value(BruteForceSolver().Solve(p));
     if (optimum <= 0.0) continue;
     ++instances;
-    for (std::size_t s = 0; s < std::size(solvers); ++s) {
+    for (std::size_t s = 0; s < solvers.size(); ++s) {
       ratios[s].push_back(obj.Value(solvers[s]->Solve(p)) / optimum);
     }
   }
 
   Table table({"solver", "mean ratio", "min ratio", "instances at 1.0"});
-  for (std::size_t s = 0; s < std::size(solvers); ++s) {
+  for (std::size_t s = 0; s < solvers.size(); ++s) {
     double sum = 0.0, min = 1e18;
     std::int64_t exact = 0;
     for (double r : ratios[s]) {

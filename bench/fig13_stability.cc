@@ -8,10 +8,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
+#include "core/solver_registry.h"
 #include "core/stable_matching_solver.h"
-#include "core/baseline_solvers.h"
 
 int main(int argc, char** argv) {
   using namespace mbta;
@@ -31,17 +29,12 @@ int main(int argc, char** argv) {
                         {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
     const MutualBenefitObjective obj = p.MakeObjective();
 
-    const GreedySolver greedy;
-    LocalSearchSolver::Options ls_opts;
-    ls_opts.max_passes = 2;
-    const LocalSearchSolver local_search(ls_opts);
-    const StableMatchingSolver stable;
-    const RequesterCentricSolver requester_centric;
-    const Solver* solvers[] = {&greedy, &local_search, &stable,
-                               &requester_centric};
+    const auto solvers = CreateSolvers(
+        {"greedy", "local-search", "stable-da", "requester-centric"},
+        {.max_passes = 2});
 
-    const double greedy_value = obj.Value(greedy.Solve(p));
-    for (const Solver* solver : solvers) {
+    const double greedy_value = obj.Value(solvers[0]->Solve(p));
+    for (const auto& solver : solvers) {
       const Assignment a = solver->Solve(p);
       const double value = obj.Value(a);
       json.AddRow(

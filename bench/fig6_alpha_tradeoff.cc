@@ -7,9 +7,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/baseline_solvers.h"
-#include "core/greedy_solver.h"
 #include "core/pareto.h"
+#include "core/solver_registry.h"
 
 int main(int argc, char** argv) {
   using namespace mbta;
@@ -22,17 +21,15 @@ int main(int argc, char** argv) {
                       "mturk-like 1000 workers, submodular, seed 42");
 
   const LaborMarket market = GenerateMarket(MTurkLikeConfig(1000, 42));
-  const GreedySolver greedy;
-  const WorkerCentricSolver worker_centric;
-  const RequesterCentricSolver requester_centric;
-  const Solver* solvers[] = {&greedy, &worker_centric, &requester_centric};
+  const auto solvers =
+      CreateSolvers({"greedy", "worker-centric", "requester-centric"});
 
   Table table({"alpha", "solver", "MB", "RB", "WB"});
   for (double alpha : {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
                        1.0}) {
     const MbtaProblem p{
         &market, {.alpha = alpha, .kind = ObjectiveKind::kSubmodular}};
-    for (const Solver* solver : solvers) {
+    for (const auto& solver : solvers) {
       const bench::SolverRun run = bench::RunSolver(*solver, p);
       json.AddRun({{"alpha", Table::Num(alpha)}}, run);
       table.AddRow({Table::Num(alpha), run.solver,
@@ -49,7 +46,7 @@ int main(int argc, char** argv) {
   const std::vector<double> grid = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                     0.6, 0.7, 0.8, 0.9, 1.0};
   Table frontier_table({"solver", "frontier points", "hypervolume"});
-  for (const Solver* solver : solvers) {
+  for (const auto& solver : solvers) {
     const auto frontier = ParetoFilter(
         SweepAlpha(market, ObjectiveKind::kSubmodular, grid, *solver));
     frontier_table.AddRow(

@@ -11,8 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/baseline_solvers.h"
-#include "core/greedy_solver.h"
+#include "core/solver_registry.h"
 #include "sim/aggregation.h"
 #include "sim/answers.h"
 
@@ -31,12 +30,9 @@ int main(int argc, char** argv) {
   const MbtaProblem p{&market,
                       {.alpha = 0.9, .kind = ObjectiveKind::kSubmodular}};
 
-  const GreedySolver greedy;
-  const RequesterCentricSolver requester_centric;
-  const WorkerCentricSolver worker_centric;
-  const RandomSolver random(7);
-  const Solver* solvers[] = {&greedy, &requester_centric, &worker_centric,
-                             &random};
+  const auto solvers = CreateSolvers(
+      {"greedy", "requester-centric", "worker-centric", "random"},
+      {.seed = 7});
 
   const MajorityVote majority;
   const WeightedVote weighted;
@@ -46,7 +42,7 @@ int main(int argc, char** argv) {
                                      &dawid_skene_2c};
 
   Table table({"solver", "aggregator", "accuracy", "coverage"});
-  for (const Solver* solver : solvers) {
+  for (const auto& solver : solvers) {
     const Assignment a = solver->Solve(p);
     for (const Aggregator* agg : aggregators) {
       double acc = 0.0, cov = 0.0;

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "core/solver_registry.h"
 #include "util/stats.h"
 
 int main(int argc, char** argv) {
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   Table table({"solver", "jain", "gini", "active min", "active P50",
                "active workers"});
   for (const auto& solver :
-       MakeStandardSolvers(7, /*include_exact_flow=*/false)) {
+       CreateStandardSolvers(ObjectiveKind::kSubmodular, {.seed = 7})) {
     const bench::SolverRun run = bench::RunSolver(*solver, p);
     // Jain/Gini over all employable workers (unemployment counts as
     // inequality); percentiles over those who actually earned something.

@@ -6,9 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "core/exact_flow_solver.h"
-#include "core/greedy_solver.h"
-#include "core/threshold_solver.h"
+#include "core/solver_registry.h"
 #include "gen/market_generator.h"
 
 namespace mbta {
@@ -19,65 +17,52 @@ LaborMarket MakeMarket(std::int64_t workers) {
       MTurkLikeConfig(static_cast<std::size_t>(workers), 42));
 }
 
-void BM_LazyGreedy(benchmark::State& state) {
-  const LaborMarket market = MakeMarket(state.range(0));
-  const MbtaProblem p{&market,
-                      {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-  const GreedySolver solver(GreedySolver::Mode::kLazy);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Solve(p));
-  }
-  state.counters["edges"] = static_cast<double>(market.NumEdges());
+ObjectiveKind ObjectiveOf(const char* solver) {
+  return IsModularOnly(solver) ? ObjectiveKind::kModular
+                               : ObjectiveKind::kSubmodular;
 }
-BENCHMARK(BM_LazyGreedy)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_PlainGreedy(benchmark::State& state) {
+/// One registered solver over the size ladder; modular-only solvers get
+/// the modular objective.
+void BM_Solve(benchmark::State& state, const char* name) {
   const LaborMarket market = MakeMarket(state.range(0));
-  const MbtaProblem p{&market,
-                      {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-  const GreedySolver solver(GreedySolver::Mode::kPlain);
+  const MbtaProblem p{&market, {.alpha = 0.5, .kind = ObjectiveOf(name)}};
+  const auto solver = CreateSolver(name);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Solve(p));
+    benchmark::DoNotOptimize(solver->Solve(p));
   }
   state.counters["edges"] = static_cast<double>(market.NumEdges());
 }
-BENCHMARK(BM_PlainGreedy)->Arg(250)->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ThresholdGreedy(benchmark::State& state) {
-  const LaborMarket market = MakeMarket(state.range(0));
-  const MbtaProblem p{&market,
-                      {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-  const ThresholdSolver solver(0.1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Solve(p));
-  }
-  state.counters["edges"] = static_cast<double>(market.NumEdges());
-}
-BENCHMARK(BM_ThresholdGreedy)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ExactFlowModular(benchmark::State& state) {
-  const LaborMarket market = MakeMarket(state.range(0));
-  const MbtaProblem p{&market,
-                      {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
-  const ExactFlowSolver solver;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Solve(p));
-  }
-  state.counters["edges"] = static_cast<double>(market.NumEdges());
-}
-BENCHMARK(BM_ExactFlowModular)->Arg(250)->Arg(500)->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_MarketGeneration(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(MakeMarket(state.range(0)));
   }
 }
-BENCHMARK(BM_MarketGeneration)->Arg(1000)->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
+
+/// Registers the benchmarks in display order: each solver over worker
+/// counts 250, 500, ... up to its cap, then market generation.
+void RegisterBenchmarks() {
+  const struct {
+    const char* label;
+    const char* solver;
+    int max_workers;
+  } kSolvers[] = {{"BM_LazyGreedy", "greedy", 2000},
+                  {"BM_PlainGreedy", "greedy-plain", 500},
+                  {"BM_ThresholdGreedy", "threshold", 2000},
+                  {"BM_ExactFlowModular", "exact-flow", 1000}};
+  for (const auto& row : kSolvers) {
+    auto* b = benchmark::RegisterBenchmark(row.label, BM_Solve, row.solver);
+    for (int workers = 250; workers <= row.max_workers; workers *= 2) {
+      b->Arg(workers);
+    }
+    b->Unit(benchmark::kMillisecond);
+  }
+  benchmark::RegisterBenchmark("BM_MarketGeneration", BM_MarketGeneration)
+      ->Arg(1000)
+      ->Arg(4000)
+      ->Unit(benchmark::kMillisecond);
+}
 
 }  // namespace
 }  // namespace mbta
@@ -91,6 +76,7 @@ int main(int argc, char** argv) {
   // `--json` is ours, not google-benchmark's: strip it before
   // Initialize.
   const std::string json_path = mbta::bench::ConsumeJsonFlag(&argc, argv);
+  mbta::RegisterBenchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
@@ -105,22 +91,14 @@ int main(int argc, char** argv) {
                         "mturk-like markets, alpha=0.5, seed 42");
     for (std::int64_t workers : {250, 500, 1000}) {
       const LaborMarket market = MakeMarket(workers);
-      const MbtaProblem sub{
-          &market, {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-      const MbtaProblem mod{
-          &market, {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
-      const GreedySolver lazy(GreedySolver::Mode::kLazy);
-      const GreedySolver plain(GreedySolver::Mode::kPlain);
-      const ThresholdSolver threshold(0.1);
-      const ExactFlowSolver exact;
-      const auto params = [&](const char* objective) {
-        return bench::JsonLog::Params{
-            {"workers", std::to_string(workers)}, {"objective", objective}};
-      };
-      json.AddRun(params("submodular"), bench::RunSolver(lazy, sub));
-      json.AddRun(params("submodular"), bench::RunSolver(plain, sub));
-      json.AddRun(params("submodular"), bench::RunSolver(threshold, sub));
-      json.AddRun(params("modular"), bench::RunSolver(exact, mod));
+      for (const char* name :
+           {"greedy", "greedy-plain", "threshold", "exact-flow"}) {
+        const ObjectiveKind kind = ObjectiveOf(name);
+        json.AddRun({{"workers", std::to_string(workers)},
+                     {"objective", ToString(kind)}},
+                    bench::RunSolver(*CreateSolver(name),
+                                     {&market, {.alpha = 0.5, .kind = kind}}));
+      }
     }
   }
   return 0;

@@ -21,18 +21,12 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/baseline_solvers.h"
-#include "core/budgeted_greedy_solver.h"
-#include "core/exact_flow_solver.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
 #include "core/solver.h"
-#include "core/stable_matching_solver.h"
-#include "core/threshold_solver.h"
+#include "core/solver_registry.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
 #include "service/market_service.h"
@@ -50,35 +44,6 @@ struct Workload {
   LaborMarket market;
   ObjectiveParams objective;
 };
-
-/// Solver line-up for the smoke suite: every solver family in
-/// MakeStandardSolvers (minus exact-flow, which needs the modular
-/// objective and gets its own workload below) plus the online and
-/// budgeted families and plain greedy, so every instrumented counter
-/// family shows up in the emitted JSON. Local search is capped at two
-/// passes — each row is solved six times (repeats + determinism checks)
-/// and uncapped passes would dominate the suite's wall clock.
-std::vector<std::unique_ptr<Solver>> SmokeSolvers(const LaborMarket& market) {
-  std::vector<std::unique_ptr<Solver>> solvers;
-  solvers.push_back(std::make_unique<GreedySolver>());
-  solvers.push_back(std::make_unique<ThresholdSolver>());
-  LocalSearchSolver::Options ls;
-  ls.max_passes = 2;
-  solvers.push_back(std::make_unique<LocalSearchSolver>(ls));
-  solvers.push_back(std::make_unique<MatchingSolver>());
-  solvers.push_back(std::make_unique<StableMatchingSolver>());
-  solvers.push_back(std::make_unique<WorkerCentricSolver>());
-  solvers.push_back(std::make_unique<RequesterCentricSolver>());
-  solvers.push_back(std::make_unique<RandomSolver>(7));
-  solvers.push_back(
-      std::make_unique<GreedySolver>(GreedySolver::Mode::kPlain));
-  solvers.push_back(std::make_unique<OnlineGreedySolver>(7));
-  solvers.push_back(std::make_unique<TaskArrivalGreedySolver>(7));
-  solvers.push_back(std::make_unique<TwoPhaseOnlineSolver>(7));
-  solvers.push_back(std::make_unique<BudgetedGreedySolver>(
-      ProportionalBudgets(market, 0.5)));
-  return solvers;
-}
 
 /// One operation of the resident-service churn stream: an epoch barrier
 /// or a delta for the admission queue.
@@ -234,13 +199,23 @@ int main(int argc, char** argv) {
                   Table::Num(static_cast<std::int64_t>(
                       run.info.gain_evaluations))});
   };
+  // Random and the online family are seeded with 7; local search is
+  // capped at two passes — each row is solved six times (repeats +
+  // determinism checks) and uncapped passes would dominate the suite.
+  const auto run_row = [&](const Workload& w, std::string_view name) {
+    const auto solver =
+        CreateSolver(name, {.seed = 7, .max_passes = 2, .market = &w.market});
+    bench::SolverRun run;
+    ok = RunOne(*solver, {&w.market, w.objective}, kRepeats, &run, tracer) &&
+         ok;
+    report(w, run);
+  };
 
   for (const Workload& w : workloads) {
-    const MbtaProblem p{&w.market, w.objective};
-    for (const auto& solver : SmokeSolvers(w.market)) {
-      bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, tracer) && ok;
-      report(w, run);
+    // Every registered solver but the modular-only ones, which get
+    // their own workload below.
+    for (const std::string& name : SolverNames()) {
+      if (!IsModularOnly(name)) run_row(w, name);
     }
   }
 
@@ -249,14 +224,8 @@ int main(int argc, char** argv) {
     const Workload modular{"mturk-300-modular",
                            GenerateMarket(MTurkLikeConfig(300, 42)),
                            {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
-    const MbtaProblem p{&modular.market, modular.objective};
-    const ExactFlowSolver exact;
-    const GreedySolver greedy;
-    for (const Solver* solver : {static_cast<const Solver*>(&exact),
-                                 static_cast<const Solver*>(&greedy)}) {
-      bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, tracer) && ok;
-      report(modular, run);
+    for (const char* name : {"exact-flow", "greedy"}) {
+      run_row(modular, name);
     }
   }
 
@@ -268,15 +237,7 @@ int main(int argc, char** argv) {
     const Workload par{"uniform-350-par",
                        GenerateMarket(UniformConfig(350, 350, 42)),
                        {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-    const MbtaProblem p{&par.market, par.objective};
-    const GreedySolver serial_lazy;
-    const GreedySolver serial_plain(GreedySolver::Mode::kPlain);
-    for (const Solver* solver : {static_cast<const Solver*>(&serial_lazy),
-                                 static_cast<const Solver*>(&serial_plain)}) {
-      bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, tracer) && ok;
-      report(par, run);
-    }
+    for (const char* name : {"greedy", "greedy-plain"}) run_row(par, name);
   }
 
   // Resident-service row: a seeded churn stream driven through an

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/exact_flow_solver.h"
+#include "core/solver_registry.h"
 
 int main(int argc, char** argv) {
   using namespace mbta;
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     const MbtaProblem sub{&market,
                           {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
     for (const auto& solver :
-         MakeStandardSolvers(7, /*include_exact_flow=*/false)) {
+         CreateStandardSolvers(ObjectiveKind::kSubmodular, {.seed = 7})) {
       const bench::SolverRun run = bench::RunSolver(*solver, sub);
       json.AddRun({{"dataset", market.name()}, {"objective", "submodular"}},
                   run);
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     const MbtaProblem mod{&market,
                           {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
     const bench::SolverRun exact =
-        bench::RunSolver(ExactFlowSolver(), mod);
+        bench::RunSolver(*CreateSolver("exact-flow"), mod);
     json.AddRun({{"dataset", market.name()}, {"objective", "modular"}},
                 exact);
     table.AddRow(

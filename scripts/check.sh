@@ -102,8 +102,11 @@ cli_smoke() {
       --tasks 30 --seed 7 --out "${tmp}/m.market"
   expect_exit 0 "${cli}" solve --market "${tmp}/m.market" \
       --solver greedy --out "${tmp}/a.assignment"
+  expect_exit 0 "${cli}" solve --market "${tmp}/m.market" \
+      --solver budgeted-greedy --out "${tmp}/b.assignment"
   # 1: usage errors — unknown command, unknown solver, a flag the
-  # command does not take, a number that does not parse.
+  # command does not take, a number that does not parse, a modular-only
+  # solver (alone or as a fallback stage) on the submodular objective.
   expect_exit 1 "${cli}" frobnicate
   expect_exit 1 "${cli}" solve --market "${tmp}/m.market" \
       --solver no-such-solver --out "${tmp}/x.assignment"
@@ -113,6 +116,10 @@ cli_smoke() {
       --solver greedy --frobnicate --out "${tmp}/x.assignment"
   expect_exit 1 "${cli}" generate --dataset uniform --workers banana \
       --out "${tmp}/x.market"
+  expect_exit 1 "${cli}" solve --market "${tmp}/m.market" \
+      --solver exact-flow --out "${tmp}/x.assignment"
+  expect_exit 1 "${cli}" solve --market "${tmp}/m.market" \
+      --fallback --out "${tmp}/x.assignment"
   # 2: bad input — a corrupt market file parses to a clean error.
   printf 'mbta-market v1\nname x\nworkers nan\n' > "${tmp}/bad.market"
   expect_exit 2 "${cli}" stats --market "${tmp}/bad.market"

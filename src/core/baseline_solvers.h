@@ -61,25 +61,6 @@ class RequesterCentricSolver : public Solver {
                    SolveInfo* info = nullptr) const override;
 };
 
-/// Maximum-weight bipartite *matching* on the edge weights with unit
-/// capacities on both sides (solved exactly via min-cost flow). Represents
-/// prior assignment work that ignores the capacitated bipartite structure:
-/// each worker gets at most one task and each task one worker, so it
-/// leaves most of the market's capacity on the table.
-class MatchingSolver : public Solver {
- public:
-  MatchingSolver() = default;
-
-  std::string name() const override { return "matching"; }
-
-  using Solver::Solve;
-  /// Budget granularity: one work unit per augmenting-path attempt in
-  /// the unit-capacity min-cost flow; the partial matching is feasible.
-  Assignment Solve(const MbtaProblem& problem,
-                   const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
-};
-
 }  // namespace mbta
 
 #endif  // MBTA_CORE_BASELINE_SOLVERS_H_

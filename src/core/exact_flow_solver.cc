@@ -17,7 +17,9 @@ Assignment ExactFlowSolver::Solve(const MbtaProblem& problem,
                                   const SolveOptions& options,
                                   SolveInfo* info) const {
   MBTA_CHECK(problem.market != nullptr);
-  MBTA_CHECK_MSG(problem.objective.kind == ObjectiveKind::kModular,
+  // Capacity::kUnit caps every worker and task at one: a matching.
+  const bool unit = capacity_ == Capacity::kUnit;
+  MBTA_CHECK_MSG(unit || problem.objective.kind == ObjectiveKind::kModular,
                  "ExactFlowSolver requires the modular objective");
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
@@ -44,11 +46,13 @@ Assignment ExactFlowSolver::Solve(const MbtaProblem& problem,
     ScopedPhase phase(phases, "build_graph");
     for (WorkerId w = 0; w < num_workers; ++w) {
       MaybeFail(options.faults, "flow/build_arc");
-      mcf.AddArc(source, worker_node(w), market.worker(w).capacity, 0);
+      const int capacity = unit ? 1 : market.worker(w).capacity;
+      mcf.AddArc(source, worker_node(w), capacity, 0);
     }
     for (TaskId t = 0; t < num_tasks; ++t) {
       MaybeFail(options.faults, "flow/build_arc");
-      mcf.AddArc(task_node(t), sink, market.task(t).capacity, 0);
+      const int capacity = unit ? 1 : market.task(t).capacity;
+      mcf.AddArc(task_node(t), sink, capacity, 0);
     }
     for (EdgeId e = 0; e < market.NumEdges(); ++e) {
       MaybeFail(options.faults, "flow/build_arc");

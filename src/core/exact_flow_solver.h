@@ -16,11 +16,20 @@ namespace mbta {
 /// Edge weights are scaled to a 1e-6 fixed-point grid (documented bound on
 /// the optimality gap: ≤ |E| · 1e-6). Rejects submodular instances — use
 /// greedy/local search there, with this solver as the modular reference.
+///
+/// Capacity::kUnit sets every capacity to 1: the "matching" baseline
+/// (max-weight bipartite matching on either objective), standing for
+/// prior work that ignores the capacitated structure.
 class ExactFlowSolver : public Solver {
  public:
-  ExactFlowSolver() = default;
+  enum class Capacity { kMarket, kUnit };
 
-  std::string name() const override { return "exact-flow"; }
+  explicit ExactFlowSolver(Capacity capacity = Capacity::kMarket)
+      : capacity_(capacity) {}
+
+  std::string name() const override {
+    return capacity_ == Capacity::kMarket ? "exact-flow" : "matching";
+  }
 
   using Solver::Solve;
   /// Budget granularity: one work unit per augmenting-path attempt in
@@ -35,6 +44,9 @@ class ExactFlowSolver : public Solver {
 
   /// Fixed-point scale for benefit-to-cost conversion.
   static constexpr double kScale = 1e6;
+
+ private:
+  Capacity capacity_;
 };
 
 }  // namespace mbta

@@ -4,9 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "core/baseline_solvers.h"
-#include "core/exact_flow_solver.h"
-#include "core/greedy_solver.h"
 #include "obs/phase_timer.h"
 #include "util/check.h"
 #include "util/deadline.h"
@@ -167,18 +164,6 @@ Assignment FallbackSolver::Solve(const MbtaProblem& problem,
     info->wall_ms = timer.ElapsedMs();
   }
   return best;
-}
-
-std::unique_ptr<FallbackSolver> MakeStandardFallbackChain(
-    const DeadlineBudget& stage_budget) {
-  std::vector<FallbackSolver::Stage> stages;
-  stages.push_back({std::make_shared<ExactFlowSolver>(), stage_budget});
-  stages.push_back({std::make_shared<GreedySolver>(), stage_budget});
-  // The floor runs unbudgeted: worker-centric is linear-ish in the edge
-  // count and must always deliver a complete feasible assignment.
-  stages.push_back({std::make_shared<WorkerCentricSolver>(),
-                    DeadlineBudget{}});
-  return std::make_unique<FallbackSolver>(std::move(stages));
 }
 
 }  // namespace mbta

@@ -1,7 +1,6 @@
 #ifndef MBTA_CORE_FALLBACK_SOLVER_H_
 #define MBTA_CORE_FALLBACK_SOLVER_H_
 
-#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,20 +58,12 @@ class FallbackSolver : public Solver {
                    const SolveOptions& options = {},
                    SolveInfo* info = nullptr) const override;
 
-  std::size_t num_stages() const { return stages_.size(); }
+  const std::vector<Stage>& stages() const { return stages_; }
 
  private:
   std::vector<Stage> stages_;
   Options chain_options_;
 };
-
-/// The standard three-stage chain for *modular* instances: exact flow
-/// (optimal but super-linear) → greedy (near-optimal, fast) →
-/// worker-centric (trivial floor, no budget). Each optimizing stage gets
-/// `stage_budget`; the floor runs unlimited so the chain always returns
-/// a complete feasible assignment.
-std::unique_ptr<FallbackSolver> MakeStandardFallbackChain(
-    const DeadlineBudget& stage_budget);
 
 }  // namespace mbta
 

@@ -25,20 +25,26 @@ struct OnlineTally {
   std::size_t deferred = 0;
 };
 
-/// Greedily fills one arrived worker: repeatedly adds its best feasible
-/// edge with marginal gain above `min_gain` until capacity runs out.
-/// Accepted gains are appended to `accepted_gains` when non-null.
-/// Budget checkpoint: one charge per marginal-gain evaluation; returns
-/// false when the gate expired (commitments made so far stand).
-bool FillWorker(ObjectiveState& state, WorkerId w, double min_gain,
-                DeadlineGate& gate, OnlineTally& tally,
-                std::vector<double>* accepted_gains = nullptr) {
+/// Greedily fills one arrival — worker `v` when `worker_arrives`, else
+/// task `v`: repeatedly adds its best feasible edge with marginal gain
+/// above `min_gain` until capacity runs out. Accepted gains are appended
+/// to `accepted_gains` when non-null. Budget checkpoint: one charge per
+/// marginal-gain evaluation; returns false when the gate expired
+/// (commitments made so far stand).
+bool FillArrival(ObjectiveState& state, bool worker_arrives, VertexId v,
+                 double min_gain, DeadlineGate& gate, OnlineTally& tally,
+                 std::vector<double>* accepted_gains = nullptr) {
   const LaborMarket& market = state.objective().market();
-  while (state.WorkerLoad(w) < market.worker(w).capacity) {
+  const int capacity =
+      worker_arrives ? market.worker(v).capacity : market.task(v).capacity;
+  const auto edges =
+      worker_arrives ? market.WorkerEdges(v) : market.TaskEdges(v);
+  while ((worker_arrives ? state.WorkerLoad(v) : state.TaskLoad(v)) <
+         capacity) {
     double best_gain = min_gain;
     double best_any_gain = 0.0;
     EdgeId best_edge = kInvalidEdge;
-    for (const Incidence& inc : market.WorkerEdges(w)) {
+    for (const Incidence& inc : edges) {
       if (!state.CanAdd(inc.edge)) continue;
       if (gate.Charge()) return false;
       const double gain = state.MarginalGain(inc.edge);
@@ -60,6 +66,42 @@ bool FillWorker(ObjectiveState& state, WorkerId w, double min_gain,
     ++tally.matches;
   }
   return true;
+}
+
+/// Plain online greedy over an arrival order of workers (or tasks): each
+/// arrival is filled greedily on the spot, no threshold.
+Assignment GreedyArrivals(const MbtaProblem& problem,
+                          const std::vector<VertexId>& order,
+                          bool workers_arrive, const SolveOptions& options,
+                          SolveInfo* info) {
+  MBTA_CHECK(problem.market != nullptr);
+  MBTA_CHECK(order.size() == (workers_arrive ? problem.market->NumWorkers()
+                                             : problem.market->NumTasks()));
+  WallTimer timer;
+  PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
+  ScopedPhase solve_phase(phases, "solve");
+  DeadlineGate local_gate = MakeGate(options);
+  DeadlineGate* gate =
+      options.shared_gate != nullptr ? options.shared_gate : &local_gate;
+  const MutualBenefitObjective objective = problem.MakeObjective();
+  ObjectiveState state(&objective);
+  OnlineTally tally;
+
+  {
+    ScopedPhase phase(phases, "arrivals");
+    for (VertexId v : order) {
+      if (!FillArrival(state, workers_arrive, v, 0.0, *gate, tally)) break;
+    }
+  }
+
+  if (info != nullptr) {
+    info->gain_evaluations = tally.evals;
+    info->counters.Add("online/arrivals", order.size());
+    info->counters.Add("online/matches", tally.matches);
+    info->wall_ms = timer.ElapsedMs();
+  }
+  PublishBudgetOutcome(*gate, info);
+  return state.ToAssignment();
 }
 
 }  // namespace
@@ -87,33 +129,8 @@ Assignment OnlineGreedySolver::Solve(const MbtaProblem& problem,
 Assignment OnlineGreedySolver::SolveWithOrder(
     const MbtaProblem& problem, const std::vector<WorkerId>& order,
     const SolveOptions& options, SolveInfo* info) const {
-  MBTA_CHECK(problem.market != nullptr);
-  MBTA_CHECK(order.size() == problem.market->NumWorkers());
-  WallTimer timer;
-  PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
-  ScopedPhase solve_phase(phases, "solve");
-  DeadlineGate local_gate = MakeGate(options);
-  DeadlineGate* gate =
-      options.shared_gate != nullptr ? options.shared_gate : &local_gate;
-  const MutualBenefitObjective objective = problem.MakeObjective();
-  ObjectiveState state(&objective);
-  OnlineTally tally;
-
-  {
-    ScopedPhase phase(phases, "arrivals");
-    for (WorkerId w : order) {
-      if (!FillWorker(state, w, 0.0, *gate, tally)) break;
-    }
-  }
-
-  if (info != nullptr) {
-    info->gain_evaluations = tally.evals;
-    info->counters.Add("online/arrivals", order.size());
-    info->counters.Add("online/matches", tally.matches);
-    info->wall_ms = timer.ElapsedMs();
-  }
-  PublishBudgetOutcome(*gate, info);
-  return state.ToAssignment();
+  return GreedyArrivals(problem, order, /*workers_arrive=*/true, options,
+                        info);
 }
 
 std::vector<TaskId> RandomTaskArrivalOrder(std::size_t num_tasks,
@@ -141,57 +158,8 @@ Assignment TaskArrivalGreedySolver::Solve(const MbtaProblem& problem,
 Assignment TaskArrivalGreedySolver::SolveWithOrder(
     const MbtaProblem& problem, const std::vector<TaskId>& order,
     const SolveOptions& options, SolveInfo* info) const {
-  MBTA_CHECK(problem.market != nullptr);
-  MBTA_CHECK(order.size() == problem.market->NumTasks());
-  WallTimer timer;
-  PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
-  ScopedPhase solve_phase(phases, "solve");
-  DeadlineGate local_gate = MakeGate(options);
-  DeadlineGate* gate =
-      options.shared_gate != nullptr ? options.shared_gate : &local_gate;
-  const MutualBenefitObjective objective = problem.MakeObjective();
-  const LaborMarket& market = objective.market();
-  ObjectiveState state(&objective);
-  std::size_t evals = 0;
-  std::size_t matches = 0;
-
-  {
-    ScopedPhase phase(phases, "arrivals");
-    // Budget checkpoint: one charge per marginal-gain evaluation.
-    bool expired = false;
-    for (TaskId t : order) {
-      if (expired) break;
-      while (state.TaskLoad(t) < market.task(t).capacity) {
-        double best_gain = 0.0;
-        EdgeId best_edge = kInvalidEdge;
-        for (const Incidence& inc : market.TaskEdges(t)) {
-          if (!state.CanAdd(inc.edge)) continue;
-          if (gate->Charge()) {
-            expired = true;
-            break;
-          }
-          const double gain = state.MarginalGain(inc.edge);
-          ++evals;
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_edge = inc.edge;
-          }
-        }
-        if (expired || best_edge == kInvalidEdge) break;
-        state.Add(best_edge);
-        ++matches;
-      }
-    }
-  }
-
-  if (info != nullptr) {
-    info->gain_evaluations = evals;
-    info->counters.Add("online/arrivals", order.size());
-    info->counters.Add("online/matches", matches);
-    info->wall_ms = timer.ElapsedMs();
-  }
-  PublishBudgetOutcome(*gate, info);
-  return state.ToAssignment();
+  return GreedyArrivals(problem, order, /*workers_arrive=*/false, options,
+                        info);
 }
 
 Assignment TwoPhaseOnlineSolver::Solve(const MbtaProblem& problem,
@@ -238,8 +206,8 @@ Assignment TwoPhaseOnlineSolver::SolveWithOrder(
   {
     ScopedPhase phase(phases, "sample");
     for (std::size_t i = 0; i < sample_end && !expired; ++i) {
-      expired = !FillWorker(state, order[i], 0.0, *gate, tally,
-                            &sampled_gains);
+      expired = !FillArrival(state, /*worker_arrives=*/true, order[i], 0.0,
+                             *gate, tally, &sampled_gains);
     }
     threshold = sampled_gains.empty()
                     ? 0.0
@@ -255,7 +223,8 @@ Assignment TwoPhaseOnlineSolver::SolveWithOrder(
     ScopedPhase phase(phases, "thresholded_arrivals");
     for (std::size_t i = sample_end; i < n && !expired; ++i) {
       const double min_gain = i >= endgame_start ? 0.0 : threshold;
-      expired = !FillWorker(state, order[i], min_gain, *gate, tally);
+      expired = !FillArrival(state, /*worker_arrives=*/true, order[i],
+                             min_gain, *gate, tally);
     }
   }
 

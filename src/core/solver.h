@@ -1,10 +1,7 @@
 #ifndef MBTA_CORE_SOLVER_H_
 #define MBTA_CORE_SOLVER_H_
 
-#include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/problem.h"
 #include "core/solve_options.h"
@@ -40,12 +37,6 @@ class Solver {
                            const SolveOptions& options = {},
                            SolveInfo* info = nullptr) const = 0;
 };
-
-/// The standard solver line-up used by the experiment harness, in display
-/// order: exact flow (modular only), greedy, threshold, local search, then
-/// the one-sided and matching baselines. `seed` feeds the randomized ones.
-std::vector<std::unique_ptr<Solver>> MakeStandardSolvers(
-    std::uint64_t seed, bool include_exact_flow);
 
 }  // namespace mbta
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/greedy_solver.h"
+#include "core/solver_registry.h"
 #include "market/metrics.h"
 #include "tests/test_markets.h"
 
@@ -91,7 +92,7 @@ TEST(MatchingSolverTest, AtMostOneTaskPerWorkerAndViceVersa) {
   Rng rng(9);
   const LaborMarket m = RandomTestMarket(rng, 10, 10, 0.5);
   const MbtaProblem p{&m, {}};
-  const Assignment a = MatchingSolver().Solve(p);
+  const Assignment a = CreateSolver("matching")->Solve(p);
   std::vector<int> wl = WorkerLoads(m, a), tl = TaskLoads(m, a);
   EXPECT_LE(*std::max_element(wl.begin(), wl.end()), 1);
   EXPECT_LE(*std::max_element(tl.begin(), tl.end()), 1);
@@ -106,7 +107,7 @@ TEST(MatchingSolverTest, OptimalOnUnitCapacityMarkets) {
       {0.0, 0.0});
   const MbtaProblem p{&m, {.alpha = 0.0, .kind = ObjectiveKind::kModular}};
   const MutualBenefitObjective obj = p.MakeObjective();
-  EXPECT_NEAR(obj.Value(MatchingSolver().Solve(p)), 18.0, 1e-6);
+  EXPECT_NEAR(obj.Value(CreateSolver("matching")->Solve(p)), 18.0, 1e-6);
 }
 
 TEST(MatchingSolverTest, LosesToGreedyWhenCapacitiesMatter) {
@@ -116,7 +117,7 @@ TEST(MatchingSolverTest, LosesToGreedyWhenCapacitiesMatter) {
       {{0, 0, 0.8, 1.0}, {0, 1, 0.8, 1.0}, {0, 2, 0.8, 1.0}});
   const MbtaProblem p{&m, {}};
   const MutualBenefitObjective obj = p.MakeObjective();
-  EXPECT_LT(obj.Value(MatchingSolver().Solve(p)),
+  EXPECT_LT(obj.Value(CreateSolver("matching")->Solve(p)),
             obj.Value(GreedySolver().Solve(p)));
 }
 
@@ -131,7 +132,7 @@ TEST_P(BaselineFeasibilityTest, AllBaselinesFeasible) {
     EXPECT_TRUE(IsFeasible(m, RandomSolver(GetParam()).Solve(p)));
     EXPECT_TRUE(IsFeasible(m, WorkerCentricSolver().Solve(p)));
     EXPECT_TRUE(IsFeasible(m, RequesterCentricSolver().Solve(p)));
-    EXPECT_TRUE(IsFeasible(m, MatchingSolver().Solve(p)));
+    EXPECT_TRUE(IsFeasible(m, CreateSolver("matching")->Solve(p)));
   }
 }
 

@@ -12,15 +12,16 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
 
-#include "core/fallback_solver.h"
 #include "core/greedy_solver.h"
 #include "core/local_search_solver.h"
 #include "core/solve_options.h"
 #include "core/solver.h"
+#include "core/solver_registry.h"
 #include "core/validate.h"
 #include "gen/market_generator.h"
 #include "obs/counters.h"
@@ -37,11 +38,11 @@ TEST(CancellationTest, PreSetFlagCancelsEveryStandardSolver) {
   std::atomic<bool> cancel{true};
   SolveOptions options;
   options.cancel = &cancel;
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/true)) {
-    SCOPED_TRACE("solver=" + solver->name());
+  for (const std::string& name : SolverNames()) {
+    SCOPED_TRACE("solver=" + name);
     SolveStats stats;
-    const Assignment a = solver->Solve(p, options, &stats);
+    const Assignment a = CreateSolver(name, {.seed = seed, .market = &market})
+                             ->Solve(p, options, &stats);
     const ValidationResult r = ValidateAssignment(p, a);
     EXPECT_TRUE(r.ok()) << r.Message();
     EXPECT_TRUE(stats.deadline_hit);
@@ -114,7 +115,7 @@ TEST(CancellationTest, SecondThreadCancelsFallbackChain) {
     cancel.store(true, std::memory_order_release);
   });
 
-  const auto chain = MakeStandardFallbackChain(DeadlineBudget{});
+  const auto chain = CreateFallbackChain(kStandardFallbackChain);
   SolveStats stats;
   const Assignment a = chain->Solve(p, options, &stats);
   watchdog.join();

@@ -1,7 +1,7 @@
 /// DeadlineGate / DeadlineBudget semantics, FakeClock-driven wall
-/// deadlines, and the per-solver anytime contract: every solver in the
-/// standard line-up, stopped by an exhausted budget, still returns a
-/// feasible ValidateAssignment-clean assignment with deadline_hit set.
+/// deadlines, and the per-solver anytime contract: every registered
+/// solver, stopped by an exhausted budget, still returns a feasible
+/// ValidateAssignment-clean assignment with deadline_hit set.
 
 #include <atomic>
 #include <cstdint>
@@ -12,13 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_solver.h"
-#include "core/budget.h"
-#include "core/budgeted_greedy_solver.h"
-#include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
-#include "core/online_solvers.h"
 #include "core/solve_options.h"
 #include "core/solver.h"
+#include "core/solver_registry.h"
 #include "core/validate.h"
 #include "gen/market_generator.h"
 #include "tests/test_markets.h"
@@ -212,17 +209,11 @@ TEST_P(BudgetedSolversTest, ZeroWorkBudgetStillFeasible) {
 
   SolveOptions options;
   options.budget.max_work = 0;
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/true)) {
-    ExpectFeasibleDegradedSolve(*solver, modular, options);
+  for (const std::string& name : SolverNames()) {
+    ExpectFeasibleDegradedSolve(
+        *CreateSolver(name, {.seed = seed, .market = &market}), modular,
+        options);
   }
-  ExpectFeasibleDegradedSolve(TaskArrivalGreedySolver(seed), modular,
-                              options);
-  ExpectFeasibleDegradedSolve(GreedySolver(GreedySolver::Mode::kPlain),
-                              modular, options);
-  const BudgetConstraint budget = ProportionalBudgets(market, 0.5);
-  ExpectFeasibleDegradedSolve(BudgetedGreedySolver(budget), modular,
-                              options);
 }
 
 TEST_P(BudgetedSolversTest, SmallWorkBudgetStillFeasible) {
@@ -236,9 +227,11 @@ TEST_P(BudgetedSolversTest, SmallWorkBudgetStillFeasible) {
 
   SolveOptions options;
   options.budget.max_work = 7 + static_cast<std::uint64_t>(GetParam());
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/false)) {
-    ExpectFeasibleDegradedSolve(*solver, submodular, options);
+  for (const std::string& name : SolverNames()) {
+    if (IsModularOnly(name)) continue;
+    ExpectFeasibleDegradedSolve(
+        *CreateSolver(name, {.seed = seed, .market = &market}), submodular,
+        options);
   }
 }
 
@@ -255,11 +248,12 @@ TEST_P(BudgetedSolversTest, ExpiredWallClockStillFeasible) {
   SolveOptions options;
   options.budget.max_wall_ms = 1.0;
   options.budget.clock = &clock;
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/true)) {
-    SCOPED_TRACE("solver=" + solver->name());
+  for (const std::string& name : SolverNames()) {
+    SCOPED_TRACE("solver=" + name);
     SolveStats stats;
-    const Assignment a = solver->Solve(modular, options, &stats);
+    const Assignment a =
+        CreateSolver(name, {.seed = seed, .market = &market})
+            ->Solve(modular, options, &stats);
     const ValidationResult r = ValidateAssignment(modular, a);
     EXPECT_TRUE(r.ok()) << r.Message();
     EXPECT_TRUE(stats.deadline_hit);

@@ -6,62 +6,27 @@
 
 #include <gtest/gtest.h>
 
-#include "core/baseline_solvers.h"
-#include "core/budgeted_greedy_solver.h"
-#include "core/exact_flow_solver.h"
+#include <string>
+
 #include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
 #include "core/solver.h"
-#include "core/stable_matching_solver.h"
-#include "core/threshold_solver.h"
+#include "core/solver_registry.h"
 #include "gen/market_generator.h"
 
 namespace mbta {
 namespace {
 
-class SolverDeterminismTest : public ::testing::TestWithParam<const char*> {
+class SolverDeterminismTest : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(SolverDeterminismTest, RepeatedSolvesAreIdentical) {
   const LaborMarket market = GenerateMarket(MTurkLikeConfig(200, 31));
-  const std::string which = GetParam();
-  const ObjectiveKind kind = which == "exact-flow"
+  const std::string& which = GetParam();
+  const ObjectiveKind kind = IsModularOnly(which)
                                  ? ObjectiveKind::kModular
                                  : ObjectiveKind::kSubmodular;
   const MbtaProblem p{&market, {.alpha = 0.5, .kind = kind}};
-
-  std::unique_ptr<Solver> solver;
-  if (which == "greedy") solver = std::make_unique<GreedySolver>();
-  if (which == "threshold") solver = std::make_unique<ThresholdSolver>();
-  if (which == "local-search") {
-    solver = std::make_unique<LocalSearchSolver>();
-  }
-  if (which == "stable-da") {
-    solver = std::make_unique<StableMatchingSolver>();
-  }
-  if (which == "matching") solver = std::make_unique<MatchingSolver>();
-  if (which == "worker-centric") {
-    solver = std::make_unique<WorkerCentricSolver>();
-  }
-  if (which == "requester-centric") {
-    solver = std::make_unique<RequesterCentricSolver>();
-  }
-  if (which == "random") solver = std::make_unique<RandomSolver>(5);
-  if (which == "online-greedy") {
-    solver = std::make_unique<OnlineGreedySolver>(5);
-  }
-  if (which == "online-two-phase") {
-    solver = std::make_unique<TwoPhaseOnlineSolver>(5);
-  }
-  if (which == "online-task-greedy") {
-    solver = std::make_unique<TaskArrivalGreedySolver>(5);
-  }
-  if (which == "exact-flow") solver = std::make_unique<ExactFlowSolver>();
-  if (which == "budgeted-greedy") {
-    solver = std::make_unique<BudgetedGreedySolver>(
-        ProportionalBudgets(market, 0.5));
-  }
+  const auto solver = CreateSolver(which, {.seed = 5, .market = &market});
   ASSERT_NE(solver, nullptr) << "unknown solver " << which;
 
   const Assignment first = solver->Solve(p);
@@ -69,13 +34,8 @@ TEST_P(SolverDeterminismTest, RepeatedSolvesAreIdentical) {
   EXPECT_EQ(first.edges, second.edges) << which;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSolvers, SolverDeterminismTest,
-    ::testing::Values("greedy", "threshold", "local-search", "stable-da",
-                      "matching", "worker-centric", "requester-centric",
-                      "random", "online-greedy", "online-two-phase",
-                      "online-task-greedy", "exact-flow",
-                      "budgeted-greedy"));
+INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverDeterminismTest,
+                         ::testing::ValuesIn(SolverNames()));
 
 TEST(GeneratorDeterminismTest, AllPresetsBitStable) {
   for (int preset = 0; preset < 4; ++preset) {

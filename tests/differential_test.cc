@@ -26,6 +26,7 @@
 /// or feed the printed seed straight back to the named preset.
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -37,9 +38,8 @@
 #include "core/budgeted_greedy_solver.h"
 #include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
 #include "core/solver.h"
+#include "core/solver_registry.h"
 #include "core/validate.h"
 #include "gen/market_generator.h"
 #include "tests/test_markets.h"
@@ -173,15 +173,15 @@ TEST_P(DifferentialTest, AllSolversValidDeterministicAndOrdered) {
   const MbtaProblem modular{
       &market, {.alpha = regime.alpha, .kind = ObjectiveKind::kModular}};
 
-  // The full line-up on the submodular objective (exact flow excluded:
-  // it rejects submodular instances by contract).
-  for (const auto& solver :
-       MakeStandardSolvers(regime.config.seed, /*include_exact_flow=*/false)) {
-    CheckSolver(*solver, submodular);
+  // Every registered solver on the submodular objective (modular-only
+  // ones excluded: they reject submodular instances by contract).
+  std::map<std::string, double> value;
+  for (const std::string& name : SolverNames()) {
+    if (IsModularOnly(name)) continue;
+    value[name] = CheckSolver(
+        *CreateSolver(name, {.seed = regime.config.seed, .market = &market}),
+        submodular);
   }
-  CheckSolver(OnlineGreedySolver(regime.config.seed), submodular);
-  CheckSolver(TaskArrivalGreedySolver(regime.config.seed), submodular);
-  CheckSolver(TwoPhaseOnlineSolver(regime.config.seed), submodular);
 
   // Exact flow and greedy on the modular twin of the same market.
   const double flow_value = CheckSolver(ExactFlowSolver(), modular);
@@ -194,9 +194,7 @@ TEST_P(DifferentialTest, AllSolversValidDeterministicAndOrdered) {
                 kEps);
 
   // Local search is seeded with greedy and only applies improving moves.
-  const double greedy_value = CheckSolver(GreedySolver(), submodular);
-  const double local_value = CheckSolver(LocalSearchSolver(), submodular);
-  EXPECT_GE(local_value, greedy_value - kEps)
+  EXPECT_GE(value["local-search"], value["greedy"] - kEps)
       << "local search fell below its greedy seed";
 
   // Budgeted greedy under a binding budget stays budget-feasible.
@@ -263,10 +261,13 @@ TEST_P(TinyOracleTest, HeuristicsBoundedByBruteForce) {
   const double greedy = CheckSolver(GreedySolver(), submodular);
   EXPECT_LE(greedy, opt + kEps);
   EXPECT_GE(greedy, opt / 3.0 - kEps);
-  for (const auto& solver : MakeStandardSolvers(static_cast<std::uint64_t>(i),
-                                                /*include_exact_flow=*/false)) {
-    const double value = CheckSolver(*solver, submodular);
-    EXPECT_LE(value, opt + kEps) << solver->name() << " beat brute force";
+  for (const std::string& name : SolverNames()) {
+    if (IsModularOnly(name)) continue;
+    const double value = CheckSolver(
+        *CreateSolver(name, {.seed = static_cast<std::uint64_t>(i),
+                             .market = &market}),
+        submodular);
+    EXPECT_LE(value, opt + kEps) << name << " beat brute force";
   }
 
   // Modular: exact flow is optimal, so it matches brute force to within

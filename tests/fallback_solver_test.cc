@@ -17,6 +17,7 @@
 #include "core/greedy_solver.h"
 #include "core/solve_options.h"
 #include "core/solver.h"
+#include "core/solver_registry.h"
 #include "core/validate.h"
 #include "gen/market_generator.h"
 #include "tests/test_markets.h"
@@ -34,7 +35,7 @@ MbtaProblem ModularProblem(const LaborMarket& market) {
 TEST(FallbackSolverTest, CompletesOnFirstStageWhenNothingGoesWrong) {
   const LaborMarket market = GenerateMarket(UniformConfig(25, 25, 21));
   const MbtaProblem p = ModularProblem(market);
-  const auto chain = MakeStandardFallbackChain(DeadlineBudget{});
+  const auto chain = CreateFallbackChain(kStandardFallbackChain);
   SolveStats stats;
   const Assignment a = chain->Solve(p, SolveOptions{}, &stats);
   const ValidationResult r = ValidateAssignment(p, a);
@@ -58,7 +59,7 @@ TEST(FallbackSolverTest, ExactFlowKilledMidBuildFallsBackToGreedy) {
   SolveOptions options;
   options.faults = &faults;
 
-  const auto chain = MakeStandardFallbackChain(DeadlineBudget{});
+  const auto chain = CreateFallbackChain(kStandardFallbackChain);
   SolveStats stats;
   const Assignment a = chain->Solve(p, options, &stats);
 
@@ -86,7 +87,7 @@ TEST(FallbackSolverTest, TransientFaultRetriesAndSucceeds) {
   SolveOptions options;
   options.faults = &faults;
 
-  const auto chain = MakeStandardFallbackChain(DeadlineBudget{});
+  const auto chain = CreateFallbackChain(kStandardFallbackChain);
   SolveStats stats;
   const Assignment a = chain->Solve(p, options, &stats);
 
@@ -104,7 +105,7 @@ TEST(FallbackSolverTest, DeadlineDrivenDowngradeToFloor) {
   // worker-centric floor can complete.
   DeadlineBudget starved;
   starved.max_work = 0;
-  const auto chain = MakeStandardFallbackChain(starved);
+  const auto chain = CreateFallbackChain(kStandardFallbackChain, starved);
   SolveStats stats;
   const Assignment a = chain->Solve(p, SolveOptions{}, &stats);
 
@@ -142,7 +143,7 @@ TEST(FallbackSolverTest, CancellationStopsTheWholeChain) {
   std::atomic<bool> cancel{true};  // pre-set: observed at the first poll
   SolveOptions options;
   options.cancel = &cancel;
-  const auto chain = MakeStandardFallbackChain(DeadlineBudget{});
+  const auto chain = CreateFallbackChain(kStandardFallbackChain);
   SolveStats stats;
   const Assignment a = chain->Solve(p, options, &stats);
 
@@ -181,7 +182,7 @@ TEST(FallbackSolverTest, PhaseTimingsRecordEachStageAttempt) {
 
   DeadlineBudget starved;
   starved.max_work = 0;
-  const auto chain = MakeStandardFallbackChain(starved);
+  const auto chain = CreateFallbackChain(kStandardFallbackChain, starved);
   SolveStats stats;
   chain->Solve(p, SolveOptions{}, &stats);
   EXPECT_TRUE(stats.phases.entries().count("fallback"));
@@ -191,8 +192,8 @@ TEST(FallbackSolverTest, PhaseTimingsRecordEachStageAttempt) {
 }
 
 TEST(FallbackSolverTest, NumStagesAndName) {
-  const auto chain = MakeStandardFallbackChain(DeadlineBudget{});
-  EXPECT_EQ(chain->num_stages(), 3u);
+  const auto chain = CreateFallbackChain(kStandardFallbackChain);
+  EXPECT_EQ(chain->stages().size(), 3u);
   EXPECT_EQ(chain->name(), "fallback");
 }
 

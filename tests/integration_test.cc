@@ -10,6 +10,7 @@
 #include "core/local_search_solver.h"
 #include "core/online_solvers.h"
 #include "core/solver.h"
+#include "core/solver_registry.h"
 #include "core/threshold_solver.h"
 #include "gen/market_generator.h"
 #include "market/metrics.h"
@@ -36,7 +37,7 @@ TEST_P(DatasetTest, AllStandardSolversProduceFeasibleAssignments) {
   const MbtaProblem p{&m,
                       {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
   for (const auto& solver :
-       MakeStandardSolvers(1, /*include_exact_flow=*/false)) {
+       CreateStandardSolvers(ObjectiveKind::kSubmodular)) {
     const Assignment a = solver->Solve(p);
     EXPECT_TRUE(IsFeasible(m, a)) << solver->name();
   }
@@ -52,7 +53,7 @@ TEST_P(DatasetTest, MutualBenefitAwareSolversDominateBaselines) {
   EXPECT_GE(greedy, obj.Value(RandomSolver(3).Solve(p)));
   EXPECT_GE(greedy, obj.Value(WorkerCentricSolver().Solve(p)) - 1e-9);
   EXPECT_GE(greedy, obj.Value(RequesterCentricSolver().Solve(p)) - 1e-9);
-  EXPECT_GE(greedy, obj.Value(MatchingSolver().Solve(p)) - 1e-9);
+  EXPECT_GE(greedy, obj.Value(CreateSolver("matching")->Solve(p)) - 1e-9);
   EXPECT_GE(local + 1e-9, greedy);
 }
 
@@ -101,7 +102,7 @@ TEST(IntegrationTest, ExactFlowDominatesEveryHeuristicOnModular) {
   const MutualBenefitObjective obj = p.MakeObjective();
   const double exact = obj.Value(ExactFlowSolver().Solve(p));
   for (const auto& solver :
-       MakeStandardSolvers(1, /*include_exact_flow=*/false)) {
+       CreateStandardSolvers(ObjectiveKind::kSubmodular)) {
     EXPECT_GE(exact + 1e-3, obj.Value(solver->Solve(p))) << solver->name();
   }
   // And greedy comes close (well above its 1/2 modular matroid bound).
@@ -165,15 +166,6 @@ TEST(IntegrationTest, FairnessImprovesWithWorkerWeight) {
   };
   EXPECT_GT(fairness_at(0.1), 0.0);
   EXPECT_GT(fairness_at(0.9), 0.0);
-}
-
-TEST(IntegrationTest, StandardSolverLineupHasUniqueNames) {
-  const auto solvers = MakeStandardSolvers(1, true);
-  std::set<std::string> names;
-  for (const auto& s : solvers) names.insert(s->name());
-  EXPECT_EQ(names.size(), solvers.size());
-  EXPECT_TRUE(names.count("exact-flow"));
-  EXPECT_TRUE(names.count("greedy"));
 }
 
 }  // namespace

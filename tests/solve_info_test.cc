@@ -6,16 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/brute_force_solver.h"
-#include "core/budgeted_greedy_solver.h"
 #include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
 #include "core/solver.h"
-#include "core/threshold_solver.h"
+#include "core/solver_registry.h"
 #include "gen/market_generator.h"
 
 namespace mbta {
@@ -30,25 +28,14 @@ TEST(SolveInfoTest, GreedyFamilyReportsGainEvaluations) {
   ASSERT_GT(m.NumEdges(), 0u);
   const MbtaProblem p = SubmodularProblem(m);
 
-  SolveInfo info;
-  GreedySolver(GreedySolver::Mode::kLazy).Solve(p, &info);
-  EXPECT_GT(info.gain_evaluations, 0u) << "lazy greedy";
-
-  info = {};
-  GreedySolver(GreedySolver::Mode::kPlain).Solve(p, &info);
-  EXPECT_GT(info.gain_evaluations, 0u) << "plain greedy";
-
-  info = {};
-  ThresholdSolver().Solve(p, &info);
-  EXPECT_GT(info.gain_evaluations, 0u) << "threshold";
-
-  info = {};
-  LocalSearchSolver().Solve(p, &info);
-  EXPECT_GT(info.gain_evaluations, 0u) << "local search";
-
-  info = {};
-  BudgetedGreedySolver(ProportionalBudgets(m, 0.5)).Solve(p, &info);
-  EXPECT_GT(info.gain_evaluations, 0u) << "budgeted greedy";
+  for (const auto& solver :
+       CreateSolvers({"greedy", "greedy-plain", "threshold", "local-search",
+                      "budgeted-greedy"},
+                     {.market = &m})) {
+    SolveInfo info;
+    solver->Solve(p, &info);
+    EXPECT_GT(info.gain_evaluations, 0u) << solver->name();
+  }
 }
 
 TEST(SolveInfoTest, LazyGreedyStrictlyCheaperThanPlain) {
@@ -87,22 +74,16 @@ TEST(SolveInfoTest, EveryStandardSolverPublishesCountersAndPhases) {
   const LaborMarket m = GenerateMarket(MTurkLikeConfig(90, 11));
   ASSERT_GT(m.NumEdges(), 0u);
   const MbtaProblem sub = SubmodularProblem(m);
-
-  for (const auto& solver :
-       MakeStandardSolvers(/*seed=*/11, /*include_exact_flow=*/false)) {
-    ExpectInstrumented(*solver, sub);
-  }
-  ExpectInstrumented(GreedySolver(GreedySolver::Mode::kPlain), sub);
-  ExpectInstrumented(OnlineGreedySolver(11), sub);
-  ExpectInstrumented(TaskArrivalGreedySolver(11), sub);
-  ExpectInstrumented(TwoPhaseOnlineSolver(11), sub);
-  ExpectInstrumented(BudgetedGreedySolver(ProportionalBudgets(m, 0.5)), sub);
-
-  // Exact flow requires the modular objective; brute force a tiny market.
   const MbtaProblem modular{&m,
                             {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
-  ExpectInstrumented(ExactFlowSolver(), modular);
 
+  // Every registered solver; modular-only ones on the modular objective.
+  for (const std::string& name : SolverNames()) {
+    ExpectInstrumented(*CreateSolver(name, {.seed = 11, .market = &m}),
+                       IsModularOnly(name) ? modular : sub);
+  }
+
+  // Brute force a tiny market.
   const LaborMarket tiny = GenerateMarket(UniformConfig(4, 4, 11));
   if (tiny.NumEdges() > 0 && tiny.NumEdges() <= 16) {
     ExpectInstrumented(BruteForceSolver(), SubmodularProblem(tiny));
@@ -110,18 +91,21 @@ TEST(SolveInfoTest, EveryStandardSolverPublishesCountersAndPhases) {
 }
 
 TEST(SolveInfoTest, FlowBackedSolversReportFlowCounters) {
-  // Satellite fix: the flow-backed paths used to leave gain_evaluations
-  // at zero. They now report augmenting paths plus the min-cost-flow
-  // core's own counters under the "flow/" prefix.
+  // The flow-backed paths (exact flow and its unit-capacity matching
+  // configuration) report augmenting paths as gain_evaluations, plus the
+  // min-cost-flow core's own counters under the "flow/" prefix.
   const LaborMarket m = GenerateMarket(UniformConfig(40, 40, 13));
   ASSERT_GT(m.NumEdges(), 0u);
   const MbtaProblem modular{&m,
                             {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
-  SolveInfo info;
-  ExactFlowSolver().Solve(modular, &info);
-  EXPECT_GT(info.gain_evaluations, 0u);
-  EXPECT_GT(info.counters.Value("flow/augmenting_paths"), 0u);
-  EXPECT_GT(info.counters.Value("flow/arcs_scanned"), 0u);
+  for (const auto capacity :
+       {ExactFlowSolver::Capacity::kMarket, ExactFlowSolver::Capacity::kUnit}) {
+    SolveInfo info;
+    ExactFlowSolver(capacity).Solve(modular, &info);
+    EXPECT_GT(info.gain_evaluations, 0u);
+    EXPECT_GT(info.counters.Value("flow/augmenting_paths"), 0u);
+    EXPECT_GT(info.counters.Value("flow/arcs_scanned"), 0u);
+  }
 }
 
 TEST(SolveInfoTest, WallTimeIsPopulated) {

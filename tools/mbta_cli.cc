@@ -9,9 +9,8 @@
 ///   mbta_cli evaluate --market m.market --assignment a.assignment
 ///   mbta_cli compare  --market m.market --alpha 0.5
 ///
-/// Solvers: greedy, greedy-plain, threshold, local-search, stable-da,
-/// matching, worker-centric, requester-centric, random, online-greedy,
-/// online-two-phase, exact-flow (modular objective only).
+/// Solvers: every name in the solver registry (core/solver_registry.h);
+/// the usage text lists them. exact-flow needs --objective modular.
 ///
 /// Each command accepts exactly the flags its usage line lists; an
 /// unknown flag, a valued flag given without a value, or a numeric value
@@ -28,15 +27,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/baseline_solvers.h"
-#include "core/exact_flow_solver.h"
-#include "core/fallback_solver.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
 #include "core/solver.h"
-#include "core/stable_matching_solver.h"
-#include "core/threshold_solver.h"
+#include "core/solver_registry.h"
 #include "gen/market_generator.h"
 #include "io/market_io.h"
 #include "market/metrics.h"
@@ -135,6 +127,18 @@ void PrintSolveStats(const SolveInfo& info) {
   }
 }
 
+/// The registered solver names, comma-separated; modular-only ones
+/// marked with '*'.
+std::string SolverList() {
+  std::string list;
+  for (const std::string& name : SolverNames()) {
+    if (!list.empty()) list += ", ";
+    list += name;
+    if (IsModularOnly(name)) list += "*";
+  }
+  return list;
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -147,6 +151,7 @@ int Usage() {
       "           [--objective submodular|modular] [--seed S] [--stats]\n"
       "           [--work-budget N] [--deadline-ms MS] [--fallback]\n"
       "           [--trace FILE] --out FILE\n"
+      "           --solver: %s (* needs --objective modular)\n"
       "  evaluate --market FILE --assignment FILE [--alpha 0.5]\n"
       "           [--objective submodular|modular]\n"
       "  compare  --market FILE [--alpha 0.5]\n"
@@ -161,42 +166,18 @@ int Usage() {
       "           was written with\n"
       "--stats prints the solver's work counters and phase timings\n"
       "--work-budget/--deadline-ms bound the solve; --fallback runs the\n"
-      "standard degradation chain (exact flow -> greedy -> worker-centric)\n"
+      "standard degradation chain %.*s (modular objective only)\n"
       "--trace FILE records the solve as a Chrome trace-event JSON file\n"
       "(open in Perfetto or chrome://tracing, analyze with mbta_trace)\n"
       "serve drives a resident MarketService from a delta script (one\n"
       "delta per line, literal `epoch` lines run an epoch); with --wal\n"
       "the service is durable and `replay` recovers it from disk\n"
       "exit codes: 0 ok, 1 usage, 2 bad input, 3 degraded solve, "
-      "4 internal\n");
+      "4 internal\n",
+      SolverList().c_str(),
+      static_cast<int>(kStandardFallbackChain.size()),
+      kStandardFallbackChain.data());
   return kExitUsage;
-}
-
-std::unique_ptr<Solver> MakeSolver(const std::string& name,
-                                   std::uint64_t seed) {
-  if (name == "greedy") return std::make_unique<GreedySolver>();
-  if (name == "greedy-plain") {
-    return std::make_unique<GreedySolver>(GreedySolver::Mode::kPlain);
-  }
-  if (name == "threshold") return std::make_unique<ThresholdSolver>();
-  if (name == "local-search") return std::make_unique<LocalSearchSolver>();
-  if (name == "stable-da") return std::make_unique<StableMatchingSolver>();
-  if (name == "matching") return std::make_unique<MatchingSolver>();
-  if (name == "worker-centric") {
-    return std::make_unique<WorkerCentricSolver>();
-  }
-  if (name == "requester-centric") {
-    return std::make_unique<RequesterCentricSolver>();
-  }
-  if (name == "random") return std::make_unique<RandomSolver>(seed);
-  if (name == "online-greedy") {
-    return std::make_unique<OnlineGreedySolver>(seed);
-  }
-  if (name == "online-two-phase") {
-    return std::make_unique<TwoPhaseOnlineSolver>(seed);
-  }
-  if (name == "exact-flow") return std::make_unique<ExactFlowSolver>();
-  return nullptr;
 }
 
 ObjectiveParams MakeObjectiveParams(const Args& args) {
@@ -284,21 +265,38 @@ int Solve(const Args& args) {
       args.GetUint("work-budget", DeadlineBudget::kUnlimitedWork);
   solve_options.budget.max_wall_ms = args.GetDouble("deadline-ms", 0.0);
 
+  const MbtaProblem problem{&*market, MakeObjectiveParams(args)};
   std::unique_ptr<Solver> solver;
+  // Every solver the solve runs: the one named, or each chain stage.
+  std::vector<std::string> names;
   if (args.GetBool("fallback")) {
     // The degradation chain gives each optimizing stage the caller's
     // budget and lets the unbudgeted floor guarantee a complete answer.
-    solver = MakeStandardFallbackChain(solve_options.budget);
+    auto chain =
+        CreateFallbackChain(kStandardFallbackChain, solve_options.budget);
+    for (const FallbackSolver::Stage& stage : chain->stages()) {
+      names.push_back(stage.solver->name());
+    }
+    solver = std::move(chain);
   } else {
-    const std::string solver_name = args.Get("solver", "greedy");
-    solver = MakeSolver(solver_name, args.GetUint("seed", 1));
+    names.push_back(args.Get("solver", "greedy"));
+    solver = CreateSolver(
+        names[0], {.seed = args.GetUint("seed", 1), .market = &*market});
     if (!solver) {
-      std::fprintf(stderr, "error: unknown solver '%s'\n",
-                   solver_name.c_str());
+      std::fprintf(stderr, "error: unknown solver '%s' (solvers: %s)\n",
+                   names[0].c_str(), SolverList().c_str());
       return kExitUsage;
     }
   }
-  const MbtaProblem problem{&*market, MakeObjectiveParams(args)};
+  for (const std::string& name : names) {
+    if (IsModularOnly(name) &&
+        problem.objective.kind != ObjectiveKind::kModular) {
+      std::fprintf(stderr,
+                   "error: solver '%s' needs --objective modular\n",
+                   name.c_str());
+      return kExitUsage;
+    }
+  }
   SolveInfo info;
   const std::string trace_path = args.Get("trace", "");
   std::unique_ptr<Tracer> tracer;
@@ -400,9 +398,8 @@ int Compare(const Args& args) {
   Table table({"solver", "MB", "RB", "WB", "pairs", "time(ms)"});
   std::vector<std::pair<std::string, SolveInfo>> all_stats;
   for (const auto& solver :
-       MakeStandardSolvers(args.GetUint("seed", 1),
-                           problem.objective.kind ==
-                               ObjectiveKind::kModular)) {
+       CreateStandardSolvers(problem.objective.kind,
+                             {.seed = args.GetUint("seed", 1)})) {
     SolveInfo info;
     const Assignment a = solver->Solve(problem, &info);
     const AssignmentMetrics m = Evaluate(problem.MakeObjective(), a);
