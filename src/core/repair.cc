@@ -64,7 +64,7 @@ class WorkerFold {
   }
 
  private:
-  WorkerId worker_ = kNoBan;
+  WorkerId worker_ = 0;  // meaningful once Load has run
   bool modular_ = false;
   double old_ = 0.0;
   std::vector<double> sorted_;   // chosen benefits, descending
@@ -72,80 +72,10 @@ class WorkerFold {
   std::vector<double> weight_;   // fold weight before sorted_[k]
 };
 
-/// Re-seeds `state` with every edge of `current` not incident to the
-/// given worker/task and returns the entity's own former edges.
-std::vector<EdgeId> SeedWithout(ObjectiveState& state,
-                                const Assignment& current, WorkerId skip_w,
-                                TaskId skip_t) {
-  const LaborMarket& market = state.objective().market();
-  std::vector<EdgeId> skipped;
-  for (EdgeId e : current.edges) {
-    if (market.EdgeWorker(e) == skip_w || market.EdgeTask(e) == skip_t) {
-      skipped.push_back(e);
-    } else {
-      state.Add(e);
-    }
-  }
-  return skipped;
-}
-
-/// Incident edges of every task in `tasks` / worker in `workers`,
-/// deduplicated and sorted so refill scan order is deterministic.
-std::vector<EdgeId> IncidentCandidates(const LaborMarket& market,
-                                       const std::vector<WorkerId>& workers,
-                                       const std::vector<TaskId>& tasks) {
-  std::vector<EdgeId> candidates;
-  for (WorkerId w : workers) {
-    for (const Incidence& inc : market.WorkerEdges(w)) {
-      candidates.push_back(inc.edge);
-    }
-  }
-  for (TaskId t : tasks) {
-    for (const Incidence& inc : market.TaskEdges(t)) {
-      candidates.push_back(inc.edge);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  return candidates;
-}
-
-/// Shared body of the two patch paths: keep everything not incident to
-/// the patched entity, re-add the entity's former edges best-first while
-/// feasible (sheds overflow from a capacity cut), then refill around the
-/// entity and every task/worker that lost a pair.
-Assignment PatchAndRepair(const MutualBenefitObjective& objective,
-                          const Assignment& current, WorkerId patch_w,
-                          TaskId patch_t, RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  ObjectiveState state(&objective);
-  const std::vector<EdgeId> former =
-      SeedWithout(state, current, patch_w, patch_t);
-  // Re-add the entity's previous edges greedily (best marginal first):
-  // under a tightened capacity only the most valuable survive.
-  GreedyRefill(state, former, stats);
-  std::vector<WorkerId> touched_workers;
-  std::vector<TaskId> touched_tasks;
-  if (patch_w != kNoBan) touched_workers.push_back(patch_w);
-  if (patch_t != kNoBan) touched_tasks.push_back(patch_t);
-  for (EdgeId e : former) {
-    if (state.Contains(e)) continue;
-    if (stats != nullptr) ++stats->edges_dropped;
-    // The peer endpoint regained capacity; let it pick a replacement.
-    touched_workers.push_back(market.EdgeWorker(e));
-    touched_tasks.push_back(market.EdgeTask(e));
-  }
-  GreedyRefill(state,
-               IncidentCandidates(market, touched_workers, touched_tasks),
-               stats);
-  return state.ToAssignment();
-}
-
 }  // namespace
 
 void GreedyRefill(ObjectiveState& state, const std::vector<EdgeId>& candidates,
-                  RepairStats* stats, DeadlineGate* gate, RefillBans bans,
+                  RepairStats* stats, DeadlineGate* gate,
                   std::vector<RefillEvaluation>* evaluations) {
   const MutualBenefitObjective& objective = state.objective();
   const LaborMarket& market = objective.market();
@@ -155,15 +85,8 @@ void GreedyRefill(ObjectiveState& state, const std::vector<EdgeId>& candidates,
   const double alpha = objective.alpha();
   const bool modular = objective.kind() == ObjectiveKind::kModular;
 
-  std::vector<EdgeId> live;
-  live.reserve(candidates.size());
-  for (EdgeId e : candidates) {
-    MBTA_CHECK(e < market.NumEdges());
-    if (market.EdgeWorker(e) != bans.worker &&
-        market.EdgeTask(e) != bans.task) {
-      live.push_back(e);
-    }
-  }
+  for (EdgeId e : candidates) MBTA_CHECK(e < market.NumEdges());
+  std::vector<EdgeId> live = candidates;
   // Requester term of each task over its chosen edges — the sum of
   // V(t)·q (modular) or the miss product (submodular) — valid for the
   // pass it is stamped with.
@@ -221,99 +144,6 @@ void GreedyRefill(ObjectiveState& state, const std::vector<EdgeId>& candidates,
     state.Add(best_edge);
     if (stats != nullptr) ++stats->edges_added;
   }
-}
-
-Assignment RemoveWorkerAndRepair(const MutualBenefitObjective& objective,
-                                 const Assignment& current, WorkerId w,
-                                 RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  MBTA_CHECK(w < market.NumWorkers());
-  ObjectiveState state(&objective);
-  std::vector<TaskId> freed_tasks;
-  for (EdgeId e : current.edges) {
-    if (market.EdgeWorker(e) == w) {
-      freed_tasks.push_back(market.EdgeTask(e));
-      if (stats != nullptr) ++stats->edges_dropped;
-    } else {
-      state.Add(e);
-    }
-  }
-  // Candidates: every edge of every task the departed worker served.
-  std::vector<EdgeId> candidates;
-  for (TaskId t : freed_tasks) {
-    for (const Incidence& inc : market.TaskEdges(t)) {
-      candidates.push_back(inc.edge);
-    }
-  }
-  GreedyRefill(state, candidates, stats, nullptr, RefillBans{.worker = w});
-  return state.ToAssignment();
-}
-
-Assignment RemoveTaskAndRepair(const MutualBenefitObjective& objective,
-                               const Assignment& current, TaskId t,
-                               RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  MBTA_CHECK(t < market.NumTasks());
-  ObjectiveState state(&objective);
-  std::vector<WorkerId> freed_workers;
-  for (EdgeId e : current.edges) {
-    if (market.EdgeTask(e) == t) {
-      freed_workers.push_back(market.EdgeWorker(e));
-      if (stats != nullptr) ++stats->edges_dropped;
-    } else {
-      state.Add(e);
-    }
-  }
-  std::vector<EdgeId> candidates;
-  for (WorkerId w : freed_workers) {
-    for (const Incidence& inc : market.WorkerEdges(w)) {
-      candidates.push_back(inc.edge);
-    }
-  }
-  GreedyRefill(state, candidates, stats, nullptr, RefillBans{.task = t});
-  return state.ToAssignment();
-}
-
-Assignment AddWorkerAndRepair(const MutualBenefitObjective& objective,
-                              const Assignment& current, WorkerId w,
-                              RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  MBTA_CHECK(w < market.NumWorkers());
-  ObjectiveState state(&objective);
-  for (EdgeId e : current.edges) {
-    MBTA_CHECK(market.EdgeWorker(e) != w);
-    state.Add(e);
-  }
-  GreedyRefill(state, IncidentCandidates(market, {w}, {}), stats);
-  return state.ToAssignment();
-}
-
-Assignment AddTaskAndRepair(const MutualBenefitObjective& objective,
-                            const Assignment& current, TaskId t,
-                            RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  MBTA_CHECK(t < market.NumTasks());
-  ObjectiveState state(&objective);
-  for (EdgeId e : current.edges) {
-    MBTA_CHECK(market.EdgeTask(e) != t);
-    state.Add(e);
-  }
-  GreedyRefill(state, IncidentCandidates(market, {}, {t}), stats);
-  return state.ToAssignment();
-}
-
-Assignment PatchWorkerAndRepair(const MutualBenefitObjective& objective,
-                                const Assignment& current, WorkerId w,
-                                RepairStats* stats) {
-  MBTA_CHECK(w < objective.market().NumWorkers());
-  return PatchAndRepair(objective, current, w, kNoBan, stats);
-}
-
-Assignment PatchTaskAndRepair(const MutualBenefitObjective& objective,
-                              const Assignment& current, TaskId t,
-                              RepairStats* stats) {
-  MBTA_CHECK(t < objective.market().NumTasks());
-  return PatchAndRepair(objective, current, kNoBan, t, stats);
 }
 
 }  // namespace mbta

@@ -1,6 +1,5 @@
 #include "market/assignment.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "util/check.h"
@@ -50,43 +49,6 @@ std::vector<std::vector<EdgeId>> EdgesByWorker(const LaborMarket& market,
   std::vector<std::vector<EdgeId>> by_worker(market.NumWorkers());
   for (EdgeId e : a.edges) by_worker[market.EdgeWorker(e)].push_back(e);
   return by_worker;
-}
-
-AssignmentDiff DiffAssignments(const Assignment& a, const Assignment& b) {
-  // Sorted-merge set intersection: deterministic and cache-friendly,
-  // where the former hash-set version iterated in nondeterministic order.
-  std::vector<EdgeId> in_a = a.edges;
-  std::vector<EdgeId> in_b = b.edges;
-  std::sort(in_a.begin(), in_a.end());
-  in_a.erase(std::unique(in_a.begin(), in_a.end()), in_a.end());
-  std::sort(in_b.begin(), in_b.end());
-  in_b.erase(std::unique(in_b.begin(), in_b.end()), in_b.end());
-
-  AssignmentDiff diff;
-  std::size_t i = 0, j = 0;
-  while (i < in_a.size() && j < in_b.size()) {
-    if (in_a[i] == in_b[j]) {
-      ++diff.common;
-      ++i;
-      ++j;
-    } else if (in_a[i] < in_b[j]) {
-      ++diff.only_in_a;
-      ++i;
-    } else {
-      ++diff.only_in_b;
-      ++j;
-    }
-  }
-  diff.only_in_a += in_a.size() - i;
-  diff.only_in_b += in_b.size() - j;
-
-  const std::size_t unioned =
-      diff.common + diff.only_in_a + diff.only_in_b;
-  diff.jaccard = unioned == 0
-                     ? 1.0
-                     : static_cast<double>(diff.common) /
-                           static_cast<double>(unioned);
-  return diff;
 }
 
 }  // namespace mbta

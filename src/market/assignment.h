@@ -37,19 +37,6 @@ std::vector<std::vector<EdgeId>> EdgesByTask(const LaborMarket& market,
 std::vector<std::vector<EdgeId>> EdgesByWorker(const LaborMarket& market,
                                                const Assignment& a);
 
-/// How two assignments differ — used to quantify the churn a market
-/// change (or a repair vs. a full re-solve) inflicts on participants.
-struct AssignmentDiff {
-  std::size_t common = 0;        // pairs present in both
-  std::size_t only_in_a = 0;     // pairs dropped going a -> b
-  std::size_t only_in_b = 0;     // pairs added going a -> b
-  /// Jaccard similarity |a ∩ b| / |a ∪ b|; 1.0 for identical assignments
-  /// (and for two empty ones).
-  double jaccard = 1.0;
-};
-
-AssignmentDiff DiffAssignments(const Assignment& a, const Assignment& b);
-
 }  // namespace mbta
 
 #endif  // MBTA_MARKET_ASSIGNMENT_H_

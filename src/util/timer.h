@@ -18,9 +18,6 @@ class WallTimer {
         .count();
   }
 
-  /// Elapsed time in seconds.
-  double ElapsedSec() const { return ElapsedMs() / 1000.0; }
-
  private:
   // mbta-lint: taint-ok(wall-clock timing feeds observability output only, never solver decisions)
   using Clock = std::chrono::steady_clock;

@@ -76,38 +76,6 @@ TEST(AssignmentTest, GroupingByTaskAndWorker) {
   ASSERT_EQ(by_worker[1].size(), 1u);
 }
 
-TEST(AssignmentDiffTest, IdenticalAssignments) {
-  const AssignmentDiff d =
-      DiffAssignments(Assignment{{1, 2, 3}}, Assignment{{3, 2, 1}});
-  EXPECT_EQ(d.common, 3u);
-  EXPECT_EQ(d.only_in_a, 0u);
-  EXPECT_EQ(d.only_in_b, 0u);
-  EXPECT_DOUBLE_EQ(d.jaccard, 1.0);
-}
-
-TEST(AssignmentDiffTest, DisjointAssignments) {
-  const AssignmentDiff d =
-      DiffAssignments(Assignment{{1, 2}}, Assignment{{3, 4}});
-  EXPECT_EQ(d.common, 0u);
-  EXPECT_EQ(d.only_in_a, 2u);
-  EXPECT_EQ(d.only_in_b, 2u);
-  EXPECT_DOUBLE_EQ(d.jaccard, 0.0);
-}
-
-TEST(AssignmentDiffTest, PartialOverlap) {
-  const AssignmentDiff d =
-      DiffAssignments(Assignment{{1, 2, 3}}, Assignment{{2, 3, 4, 5}});
-  EXPECT_EQ(d.common, 2u);
-  EXPECT_EQ(d.only_in_a, 1u);
-  EXPECT_EQ(d.only_in_b, 2u);
-  EXPECT_DOUBLE_EQ(d.jaccard, 2.0 / 5.0);
-}
-
-TEST(AssignmentDiffTest, BothEmptyIsIdentical) {
-  const AssignmentDiff d = DiffAssignments(Assignment{}, Assignment{});
-  EXPECT_DOUBLE_EQ(d.jaccard, 1.0);
-}
-
 TEST(AssignmentTest, ZeroCapacityWorkerTakesNothing) {
   const LaborMarket m =
       MakeTestMarket({0}, {1}, {{0, 0, 0.8, 1.0}});

@@ -1,6 +1,8 @@
 #include "service/market_service.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +90,98 @@ TEST(MarketServiceTest, CapacityCutShedsExcessPairs) {
   service.Submit(cut);
   ASSERT_TRUE(service.RunEpoch());
   EXPECT_EQ(service.state().pairs.size(), 1u);
+}
+
+Delta WorkerCapacity(std::uint64_t id, int capacity) {
+  Delta d;
+  d.kind = DeltaKind::kWorkerCapacity;
+  d.id = id;
+  d.capacity = capacity;
+  return d;
+}
+
+/// An in-memory service whose epochs only repair (no escape hatch to a
+/// full re-solve), so what a test sees is the refill's own work.
+ServiceConfig RepairOnly() {
+  ServiceConfig config;
+  config.resolve_ratio = 0.0;
+  return config;
+}
+
+TEST(MarketServiceTest, WithdrawnTaskRedeploysItsWorkerInTheSameEpoch) {
+  MarketService service(RepairOnly());
+  ASSERT_TRUE(service.Start());
+  service.Submit(AddWorker(1));
+  service.Submit(AddTask(100, 1.0, /*value=*/5.0));
+  service.Submit(AddTask(200, 1.0, /*value=*/1.0));
+  ASSERT_TRUE(service.RunEpoch());
+  ASSERT_EQ(service.state().pairs, (std::vector<StablePair>{{1, 100}}));
+  service.Submit(Remove(DeltaKind::kRemoveTask, 100));
+  ASSERT_TRUE(service.RunEpoch());
+  EXPECT_EQ(service.state().pairs, (std::vector<StablePair>{{1, 200}}));
+}
+
+TEST(MarketServiceTest, CapacityRaiseRefillsTheNewSlack) {
+  MarketService service(RepairOnly());
+  ASSERT_TRUE(service.Start());
+  service.Submit(AddWorker(1, /*capacity=*/1));
+  service.Submit(AddTask(100));
+  service.Submit(AddTask(200));
+  ASSERT_TRUE(service.RunEpoch());
+  ASSERT_EQ(service.state().pairs.size(), 1u);
+  service.Submit(WorkerCapacity(1, 2));
+  ASSERT_TRUE(service.RunEpoch());
+  EXPECT_EQ(service.state().pairs,
+            (std::vector<StablePair>{{1, 100}, {1, 200}}));
+}
+
+TEST(MarketServiceTest, RepairKeepsEveryPairNoDeltaTouched) {
+  // The locality contract of src/core/repair.h: an epoch refills around
+  // the entities its deltas name and never removes a carried pair whose
+  // worker and task none of them named.
+  MarketService service(RepairOnly());
+  ASSERT_TRUE(service.Start());
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    service.Submit(AddWorker(i + 1, 1 + static_cast<int>(i % 3),
+                             0.1 * static_cast<double>(i % 4)));
+    service.Submit(AddTask(i + 100, 0.5 + 0.25 * static_cast<double>(i % 5),
+                           1.0 + 0.5 * static_cast<double>(i % 3),
+                           1 + static_cast<int>(i % 2)));
+  }
+  ASSERT_TRUE(service.RunEpoch());
+  std::uint64_t next_id = 1000;
+  std::size_t kept = 0;
+  for (int round = 0; round < 4; ++round) {
+    const std::vector<StablePair> before = service.state().pairs;
+    ASSERT_GE(before.size(), 3u) << "round " << round;
+    // One batch: a worker and a task that hold pairs leave, another
+    // worker's capacity drops to zero, and a worker and a task arrive.
+    const std::vector<std::uint64_t> touched_workers = {
+        before.front().worker, before[before.size() / 2].worker, next_id};
+    const std::vector<std::uint64_t> touched_tasks = {before.back().task,
+                                                      next_id};
+    service.Submit(Remove(DeltaKind::kRemoveWorker, touched_workers[0]));
+    service.Submit(Remove(DeltaKind::kRemoveTask, touched_tasks[0]));
+    service.Submit(WorkerCapacity(touched_workers[1], 0));
+    service.Submit(AddWorker(next_id, 2));
+    service.Submit(AddTask(next_id, 2.0, 3.0, 2));
+    ++next_id;
+    ASSERT_TRUE(service.RunEpoch());
+    const std::vector<StablePair>& after = service.state().pairs;
+    for (const StablePair& p : before) {
+      if (std::count(touched_workers.begin(), touched_workers.end(),
+                     p.worker) != 0 ||
+          std::count(touched_tasks.begin(), touched_tasks.end(), p.task) !=
+              0) {
+        continue;
+      }
+      EXPECT_TRUE(std::binary_search(after.begin(), after.end(), p))
+          << "round " << round << ": untouched pair (" << p.worker << ", "
+          << p.task << ") was removed";
+      ++kept;
+    }
+  }
+  EXPECT_GT(kept, 0u);
 }
 
 TEST(MarketServiceTest, PaymentChangeTakesEffect) {

@@ -10,19 +10,15 @@ namespace mbta {
 /// The plain-scan refill that GreedyRefill's compacting scan replaced,
 /// kept as the oracle of refill_differential_test: every pass rescans
 /// all candidates and evaluates each feasible one with MarginalGain. The
-/// only additions are the `evaluations` record and the bans struct.
+/// only addition is the `evaluations` record.
 inline void ReferenceRefill(ObjectiveState& state,
                             const std::vector<EdgeId>& candidates,
-                            RefillBans bans, RepairStats* stats,
-                            DeadlineGate* gate,
+                            RepairStats* stats, DeadlineGate* gate,
                             std::vector<RefillEvaluation>* evaluations) {
-  const LaborMarket& market = state.objective().market();
   for (;;) {
     double best_gain = 1e-12;
     EdgeId best_edge = kInvalidEdge;
     for (EdgeId e : candidates) {
-      if (market.EdgeWorker(e) == bans.worker) continue;
-      if (market.EdgeTask(e) == bans.task) continue;
       if (!state.CanAdd(e)) continue;
       if (gate != nullptr && gate->Charge()) return;
       const double gain = state.MarginalGain(e);
