@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full correctness matrix: the tier-1 suite under the plain build, then
-# under ASan and UBSan instrumentation (-DMBTA_SANITIZE presets), then
+# Full correctness matrix: the tier-1 suite under the plain build (with
+# -DMBTA_WERROR=ON, as in CI), then under ASan and UBSan instrumentation
+# (-DMBTA_SANITIZE presets), then
 # the obs tests AND the robustness + service suites (deadline /
 # fault-injection / fallback / cancellation plus WAL / snapshot / crash
 # recovery, `ctest -L 'robustness|service'`) under TSan
@@ -67,10 +68,12 @@ require_sanitizer() {
   exit 2
 }
 
+# Extra arguments after the first three go to the configure step.
 run_suite() {
   local dir="$1" sanitize="$2" label_args="$3"
-  echo "=== ${dir} (MBTA_SANITIZE='${sanitize}') ==="
-  cmake -B "${dir}" -S . -DMBTA_SANITIZE="${sanitize}" >/dev/null
+  shift 3
+  echo "=== ${dir} (MBTA_SANITIZE='${sanitize}' $*) ==="
+  cmake -B "${dir}" -S . -DMBTA_SANITIZE="${sanitize}" "$@" >/dev/null
   cmake --build "${dir}" -j "${JOBS}"
   # shellcheck disable=SC2086  # label_args is intentionally word-split
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" ${label_args})
@@ -215,10 +218,11 @@ trace_gate() {
   echo "check.sh: traces deterministic across runs"
 }
 
+# The plain leg builds with warnings as errors, as CI's build job does.
 if [ "${FAST}" = "1" ]; then
-  run_suite build "" "-L unit|robustness|service"
+  run_suite build "" "-L unit|robustness|service" -DMBTA_WERROR=ON
 else
-  run_suite build "" ""
+  run_suite build "" "" -DMBTA_WERROR=ON
 fi
 cli_smoke
 lint_gate

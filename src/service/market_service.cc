@@ -20,9 +20,9 @@ void SetError(std::string* error, const std::string& message) {
 }
 
 /// Dense edge id of pair (w, t), or kInvalidEdge when the pair is not an
-/// eligible edge of this market. An assembled epoch market lists each
-/// worker's edges in ascending task order (MatchCache::Assemble), so this
-/// is a binary search.
+/// edge of this market. An assembled epoch market lists each worker's
+/// edges in ascending task order (MatchCache::Assemble), so this is a
+/// binary search.
 EdgeId FindEdge(const LaborMarket& market, WorkerId w, TaskId t) {
   const std::span<const Incidence> edges = market.WorkerEdges(w);
   const auto it = std::lower_bound(
@@ -268,72 +268,80 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
     }
   }
 
-  // --- 2. Assemble the dense market from the skill-match cache ----------
+  // --- 2. Fix the carried pairs and assemble the reach market ------------
   // The first epoch after Start builds the cache from the entity lists
-  // (|W|·|T| matches); later epochs only assemble.
+  // (|W|·|T| matches); later epochs only assemble. Carried pairs are
+  // checked in stable-id order (state_.pairs is sorted), exactly as the
+  // re-anchor below adds them: a pair is dropped when it is no longer an
+  // eligible edge or no longer fits a tightened capacity. Dropped
+  // endpoints join the touched set so their slack is refilled, and the
+  // market then holds only what the repair can read: every edge with a
+  // touched endpoint, plus each carried pair's edge.
+  std::vector<std::pair<WorkerId, TaskId>> carried;  // stable-id order
+  RepairStats repair_stats;
+  MarketReach reach;
+  std::vector<EdgeId> candidates;
   LaborMarket market;
   {
     ScopedPhase phase(&stats_.phases, "rebuild");
     if (!match_cache_.valid()) match_cache_.Rebuild(state_);
-    market = match_cache_.Assemble(state_);
-  }
-  if (config_.market_observer) config_.market_observer(market);
-  const MutualBenefitObjective objective(&market, config_.objective);
-
-  // --- 3. Re-anchor the carried assignment and repair ---------------------
-  ObjectiveState solution(&objective);
-  RepairStats repair_stats;
-  {
-    ScopedPhase phase(&stats_.phases, "repair");
     const IdIndex worker_index(state_.workers);
     const IdIndex task_index(state_.tasks);
-    // Carried pairs re-anchor in stable-id order (state_.pairs is
-    // sorted), dropping pairs whose edge vanished (entity gone, pair no
-    // longer eligible) or no longer fits a tightened capacity. Dropped
-    // endpoints join the candidate seed so their slack is refilled.
+    std::vector<int> worker_load(state_.workers.size(), 0);
+    std::vector<int> task_load(state_.tasks.size(), 0);
+    carried.reserve(state_.pairs.size());
     for (const StablePair& p : state_.pairs) {
       const std::size_t w = worker_index.Find(p.worker);
       const std::size_t t = task_index.Find(p.task);
       MBTA_CHECK(w != ServiceState::npos && t != ServiceState::npos);
-      const EdgeId e = FindEdge(market, static_cast<WorkerId>(w),
-                                static_cast<TaskId>(t));
-      if (e != kInvalidEdge && solution.CanAdd(e)) {
-        solution.Add(e);
+      if (match_cache_.IsEdge(state_, w, t) &&
+          worker_load[w] < state_.workers[w].worker.capacity &&
+          task_load[t] < state_.tasks[t].task.capacity) {
+        ++worker_load[w];
+        ++task_load[t];
+        carried.emplace_back(static_cast<WorkerId>(w), static_cast<TaskId>(t));
       } else {
         ++repair_stats.edges_dropped;
         touched_worker_ids.push_back(p.worker);
         touched_task_ids.push_back(p.task);
       }
     }
-    // Candidate edges: everything incident to a touched entity,
-    // deduplicated and sorted for a deterministic refill scan.
-    std::vector<EdgeId> candidates;
-    std::sort(touched_worker_ids.begin(), touched_worker_ids.end());
-    touched_worker_ids.erase(
-        std::unique(touched_worker_ids.begin(), touched_worker_ids.end()),
-        touched_worker_ids.end());
-    std::sort(touched_task_ids.begin(), touched_task_ids.end());
-    touched_task_ids.erase(
-        std::unique(touched_task_ids.begin(), touched_task_ids.end()),
-        touched_task_ids.end());
+    reach.carried = carried;
+    std::sort(reach.carried.begin(), reach.carried.end());
+    reach.worker_touched.assign(state_.workers.size(), 0);
+    reach.task_touched.assign(state_.tasks.size(), 0);
+    std::size_t workers_touched = 0;
     for (std::uint64_t id : touched_worker_ids) {
       const std::size_t w = worker_index.Find(id);
       if (w == ServiceState::npos) continue;  // departed this batch
-      for (const Incidence& inc :
-           market.WorkerEdges(static_cast<WorkerId>(w))) {
-        candidates.push_back(inc.edge);
-      }
+      workers_touched += reach.worker_touched[w] == 0 ? 1 : 0;
+      reach.worker_touched[w] = 1;
     }
     for (std::uint64_t id : touched_task_ids) {
       const std::size_t t = task_index.Find(id);
-      if (t == ServiceState::npos) continue;
-      for (const Incidence& inc : market.TaskEdges(static_cast<TaskId>(t))) {
-        candidates.push_back(inc.edge);
+      if (t != ServiceState::npos) reach.task_touched[t] = 1;
+    }
+    for (std::size_t t = 0; t < state_.tasks.size(); ++t) {
+      if (reach.task_touched[t] != 0) {
+        reach.touched_tasks.push_back(static_cast<TaskId>(t));
       }
     }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
+    reach.everything = workers_touched == state_.workers.size() ||
+                       reach.touched_tasks.size() == state_.tasks.size();
+    market = match_cache_.Assemble(state_, reach, &candidates);
+  }
+  if (config_.market_observer) config_.market_observer(market);
+  const MutualBenefitObjective objective(&market, config_.objective);
+
+  // --- 3. Re-anchor the carried assignment and repair ---------------------
+  ObjectiveState solution(&objective);
+  {
+    ScopedPhase phase(&stats_.phases, "repair");
+    for (const auto& [w, t] : carried) {
+      const EdgeId e = FindEdge(market, w, t);
+      MBTA_CHECK(e != kInvalidEdge);
+      solution.Add(e);
+    }
     DeadlineBudget budget;
     budget.max_work = config_.epoch_max_work;
     DeadlineGate gate(budget, config_.faults);
@@ -351,26 +359,35 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
   // When repair quality degrades past the configured fraction of the
   // best value this service has committed, pay for a full greedy
   // re-solve and keep the better assignment. Degraded epochs skip the
-  // hatch — that is exactly what "degraded" means.
+  // hatch — that is exactly what "degraded" means. The re-solve needs
+  // the full market, so the hatch assembles it; the committed pairs are
+  // read back through whichever market the winning assignment indexes.
   const double reference = std::bit_cast<double>(state_.reference_bits);
   bool full_ran = false;
+  LaborMarket full_market;
+  const LaborMarket* committed = &market;
   if (mode == EpochMode::kNormal && config_.resolve_ratio > 0.0 &&
       state_.reference_bits != 0 && value < config_.resolve_ratio * reference) {
     ScopedPhase phase(&stats_.phases, "full_resolve");
     stats_.counters.Add("service/epoch/full_resolve");
     full_ran = true;
+    MarketReach whole;
+    whole.everything = true;
+    full_market = match_cache_.Assemble(state_, whole);
+    if (config_.market_observer) config_.market_observer(full_market);
     const GreedySolver solver;
-    MbtaProblem problem{&market, config_.objective};
+    MbtaProblem problem{&full_market, config_.objective};
     SolveOptions options;
     options.budget.max_work = config_.epoch_max_work;
     options.faults = config_.faults;
     SolveStats full_stats;
     Assignment full = solver.Solve(problem, options, &full_stats);
     stats_.gain_evaluations += full_stats.gain_evaluations;
-    const double full_value = objective.Value(full);
+    const double full_value = problem.MakeObjective().Value(full);
     if (full_value > value) {
       repaired = std::move(full);
       value = full_value;
+      committed = &full_market;
     }
   }
   stats_.gain_evaluations += repair_stats.gain_evaluations;
@@ -382,7 +399,7 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
   // --- 5. Validate and commit into stable-id space ------------------------
   {
     ScopedPhase phase(&stats_.phases, "validate");
-    MbtaProblem problem{&market, config_.objective};
+    MbtaProblem problem{committed, config_.objective};
     const ValidationResult check = ValidateAssignment(problem, repaired);
     MBTA_CHECK_MSG(check.ok(), "epoch assignment invalid: %s",
                    check.Message().c_str());
@@ -391,8 +408,8 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
   state_.pairs.reserve(repaired.edges.size());
   for (EdgeId e : repaired.edges) {
     state_.pairs.push_back(
-        StablePair{state_.workers[market.EdgeWorker(e)].id,
-                   state_.tasks[market.EdgeTask(e)].id});
+        StablePair{state_.workers[committed->EdgeWorker(e)].id,
+                   state_.tasks[committed->EdgeTask(e)].id});
   }
   std::sort(state_.pairs.begin(), state_.pairs.end());
 

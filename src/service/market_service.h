@@ -57,8 +57,9 @@ struct ServiceConfig {
 
   /// Injectable seams (tests): wall clock for the degrade decision,
   /// fault injection for the service/* fault points, fsync for the WAL
-  /// and snapshots, and an observer handed each epoch's market right
-  /// after it is assembled.
+  /// and snapshots, and an observer handed each market an epoch
+  /// assembles, right after assembly: the reach market (see RunEpoch),
+  /// then the full market when the escape hatch fires.
   const Clock* clock = nullptr;
   FaultInjector* faults = nullptr;
   FileSyncer* syncer = nullptr;
@@ -111,12 +112,16 @@ class MarketService {
   /// take effect at the next RunEpoch.
   SubmitResult Submit(const Delta& delta, std::string* error = nullptr);
 
-  /// Runs one epoch: consume up to epoch_batch pending deltas, assemble
-  /// the market from the skill-match cache, carry the previous assignment
-  /// over (re-anchored by stable ids), repair locally, optionally
-  /// escape-hatch to a full re-solve, validate, commit to the WAL, maybe
-  /// snapshot. Returns false on failure (service failed / validation
-  /// error).
+  /// Runs one epoch: consume up to epoch_batch pending deltas, fix which
+  /// carried pairs survive (re-anchored by stable ids), assemble the
+  /// reach market from the skill-match cache — every entity, but only
+  /// the edges incident to a touched entity plus the surviving carried
+  /// pairs' edges — repair locally on it, optionally escape-hatch to a
+  /// full re-solve on the full market, validate, commit to the WAL,
+  /// maybe snapshot. The reach market keeps BuildMarket's dense ids and
+  /// relative edge order, so the epoch commits what a full-market epoch
+  /// would, bit for bit. Returns false on failure (service failed /
+  /// validation error).
   bool RunEpoch(std::string* error = nullptr);
 
   bool started() const { return started_; }

@@ -83,9 +83,10 @@ bool ApplyDelta(ServiceState& state, const Delta& delta,
 /// Rebuilds the dense LaborMarket for the current entity lists: worker i
 /// of the market is state.workers[i], edges are derived from
 /// `edge_model` via ConnectEligiblePairs. Deterministic in the entity
-/// order, which Serialize pins. The service assembles the same market
-/// from its skill-match cache (MatchCache); this from-scratch form is
-/// its oracle and the checker's view of a state.
+/// order, which Serialize pins. Each service epoch assembles the part of
+/// this market it can reach from its skill-match cache (MatchCache);
+/// this from-scratch form is that assembly's oracle and the checker's
+/// view of a state.
 LaborMarket BuildMarket(const ServiceState& state,
                         const EdgeModelParams& edge_model);
 

@@ -4,12 +4,17 @@
 // payment patches crossing the workers' unit costs both ways, departures
 // from the middle of both lists, a departed id re-arriving, capacity
 // patches to 0, stale deltas, and a restart from snapshot plus WAL in
-// mid-stream. After every epoch (live or replayed) the assembled market
-// must equal BuildMarket(state) edge for edge: ids, endpoints, and the
-// quality, benefit and task-value bits. The per-epoch SkillMatch count
-// pins the rebuild at O(delta): arrivals × other side, nothing for
-// patches and departures, and |W|·|T| only on the first epoch a service
-// runs.
+// mid-stream. Every market an epoch assembles (live or replayed) must be
+// BuildMarket(state) restricted to a set of its edges: the same workers
+// and tasks under the same dense ids, the kept edges in the same
+// relative order, with the quality, benefit and task-value bits. For a
+// live epoch that set must be exactly the reach the full-market oracle
+// (tests/reference_epoch.h) computes — every edge with a touched
+// endpoint plus each surviving carried pair — and it is the whole market
+// in a bulk epoch and for the escape hatch's re-solve. The per-epoch
+// SkillMatch count pins the rebuild at O(delta): arrivals × other side,
+// nothing for patches and departures, and |W|·|T| only on the first
+// epoch a service runs.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -20,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_epoch.h"
 #include "service/market_service.h"
 #include "util/rng.h"
 
@@ -135,25 +141,48 @@ std::vector<Op> MakeStream(std::uint64_t seed) {
   return ops;
 }
 
-/// Edge-for-edge equality with the from-scratch build.
-void ExpectSameMarket(const LaborMarket& got, const LaborMarket& want,
-                      const std::string& where) {
-  ASSERT_EQ(got.NumWorkers(), want.NumWorkers()) << where;
-  ASSERT_EQ(got.NumTasks(), want.NumTasks()) << where;
-  ASSERT_EQ(got.NumEdges(), want.NumEdges()) << where;
-  EXPECT_EQ(got.name(), want.name()) << where;
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (EdgeId e = 0; e < got.NumEdges(); ++e) {
-    ASSERT_EQ(got.EdgeWorker(e), want.EdgeWorker(e))
-        << where << " edge " << e;
-    ASSERT_EQ(got.EdgeTask(e), want.EdgeTask(e)) << where << " edge " << e;
-    ASSERT_EQ(bits(got.Quality(e)), bits(want.Quality(e)))
-        << where << " edge " << e;
-    ASSERT_EQ(bits(got.WorkerBenefit(e)), bits(want.WorkerBenefit(e)))
-        << where << " edge " << e;
-    ASSERT_EQ(bits(got.EdgeTaskValues()[e]), bits(want.EdgeTaskValues()[e]))
-        << where << " edge " << e;
+/// Checks that `got` is `full` restricted to some of its edges, and
+/// returns the ids in `full` of the edges `got` kept, ascending.
+std::vector<EdgeId> ExpectSubMarket(const LaborMarket& got,
+                                    const LaborMarket& full,
+                                    const std::string& where) {
+  std::vector<EdgeId> kept;
+  EXPECT_EQ(got.NumWorkers(), full.NumWorkers()) << where;
+  EXPECT_EQ(got.NumTasks(), full.NumTasks()) << where;
+  EXPECT_EQ(got.name(), full.name()) << where;
+  if (got.NumWorkers() != full.NumWorkers() ||
+      got.NumTasks() != full.NumTasks()) {
+    return kept;
   }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (WorkerId w = 0; w < got.NumWorkers(); ++w) {
+    EXPECT_EQ(got.worker(w).capacity, full.worker(w).capacity) << where;
+  }
+  for (TaskId t = 0; t < got.NumTasks(); ++t) {
+    EXPECT_EQ(got.task(t).capacity, full.task(t).capacity) << where;
+    EXPECT_EQ(bits(got.task(t).value), bits(full.task(t).value)) << where;
+  }
+  EdgeId f = 0;
+  for (EdgeId e = 0; e < got.NumEdges(); ++e, ++f) {
+    while (f < full.NumEdges() && (full.EdgeWorker(f) != got.EdgeWorker(e) ||
+                                   full.EdgeTask(f) != got.EdgeTask(e))) {
+      ++f;
+    }
+    if (f == full.NumEdges()) {
+      ADD_FAILURE() << where << ": edge " << e << " (w=" << got.EdgeWorker(e)
+                    << ", t=" << got.EdgeTask(e)
+                    << ") is not a later edge of BuildMarket";
+      return kept;
+    }
+    EXPECT_EQ(bits(got.Quality(e)), bits(full.Quality(f)))
+        << where << " edge " << e;
+    EXPECT_EQ(bits(got.WorkerBenefit(e)), bits(full.WorkerBenefit(f)))
+        << where << " edge " << e;
+    EXPECT_EQ(bits(got.EdgeTaskValues()[e]), bits(full.EdgeTaskValues()[f]))
+        << where << " edge " << e;
+    kept.push_back(f);
+  }
+  return kept;
 }
 
 /// SkillMatch calls the next epoch of `service` must make: each consumed
@@ -176,7 +205,10 @@ std::uint64_t ExpectedMatches(const MarketService& service,
 TEST(MarketAssemblyTest, EpochMarketEqualsBuildMarketAndCostsItsDelta) {
   std::size_t markets = 0;
   std::size_t edges = 0;
+  std::size_t full_edges = 0;
   std::size_t epochs = 0;
+  std::size_t bulk_epochs = 0;
+  std::size_t hatch_epochs = 0;
   std::size_t replaying_restarts = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const std::string path = ::testing::TempDir() + "/market_assembly_" +
@@ -185,6 +217,7 @@ TEST(MarketAssemblyTest, EpochMarketEqualsBuildMarketAndCostsItsDelta) {
     std::remove((path + ".snap").c_str());
     const std::string where = "seed " + std::to_string(seed);
     const MarketService* live = nullptr;
+    std::vector<LaborMarket> observed;
     ServiceConfig config;
     config.wal_path = path;
     config.epoch_batch = 6;
@@ -194,8 +227,9 @@ TEST(MarketAssemblyTest, EpochMarketEqualsBuildMarketAndCostsItsDelta) {
       edges += market.NumEdges();
       // Mid-epoch the state holds the applied entity lists, which is all
       // BuildMarket reads.
-      ExpectSameMarket(market, BuildMarket(live->state(), config.edge_model),
-                       where);
+      ExpectSubMarket(market, BuildMarket(live->state(), config.edge_model),
+                      where);
+      observed.push_back(market);
     };
     auto service = std::make_unique<MarketService>(config);
     live = service.get();
@@ -211,11 +245,54 @@ TEST(MarketAssemblyTest, EpochMarketEqualsBuildMarketAndCostsItsDelta) {
           const std::uint64_t expected =
               ExpectedMatches(*service, config.epoch_batch, first_epoch);
           const std::uint64_t before = service->skill_matches();
+          ServiceState oracle_state = service->state();
+          const ReferenceEpoch oracle = RunReferenceEpoch(
+              oracle_state, config, EpochMode::kNormal,
+              static_cast<std::uint32_t>(std::min(
+                  oracle_state.pending.size(), config.epoch_batch)));
+          observed.clear();
           ASSERT_TRUE(service->RunEpoch(&error)) << where << ": " << error;
           EXPECT_EQ(service->skill_matches() - before, expected)
               << where << " epoch " << service->state().epoch;
           first_epoch = false;
           ++epochs;
+          const std::string at =
+              where + " epoch " + std::to_string(service->state().epoch);
+          // The reach market, then the full one when the hatch fired.
+          ASSERT_EQ(observed.size(), oracle.full_resolve ? 2u : 1u) << at;
+          const LaborMarket& full = oracle.market;
+          full_edges += full.NumEdges();
+          EXPECT_EQ(ExpectSubMarket(observed[0], full, at), ReachEdges(oracle))
+              << at;
+          std::size_t degrees = oracle.carried.size();
+          for (WorkerId w = 0; w < full.NumWorkers(); ++w) {
+            if (oracle.worker_touched[w] != 0) {
+              degrees += full.WorkerEdges(w).size();
+            }
+          }
+          for (TaskId t = 0; t < full.NumTasks(); ++t) {
+            if (oracle.task_touched[t] != 0) {
+              degrees += full.TaskEdges(t).size();
+            }
+          }
+          EXPECT_LE(observed[0].NumEdges(), degrees) << at;
+          const bool bulk =
+              std::count(oracle.worker_touched.begin(),
+                         oracle.worker_touched.end(), 1) ==
+                  static_cast<std::ptrdiff_t>(full.NumWorkers()) ||
+              std::count(oracle.task_touched.begin(),
+                         oracle.task_touched.end(), 1) ==
+                  static_cast<std::ptrdiff_t>(full.NumTasks());
+          if (bulk) {
+            ++bulk_epochs;
+            EXPECT_EQ(observed[0].NumEdges(), full.NumEdges()) << at;
+          }
+          if (oracle.full_resolve) {
+            ++hatch_epochs;
+            EXPECT_EQ(ExpectSubMarket(observed[1], full, at).size(),
+                      full.NumEdges())
+                << at;
+          }
           break;
         }
         case Op::kRestart: {
@@ -233,10 +310,19 @@ TEST(MarketAssemblyTest, EpochMarketEqualsBuildMarketAndCostsItsDelta) {
       }
     }
   }
-  // The sweep must assemble real markets and cross restarts both ways.
+  // The sweep must assemble real markets, cross restarts both ways, and
+  // see bulk and hatch epochs; the reach must be a fraction of the full
+  // markets the epochs repaired on.
   EXPECT_GT(markets, epochs);  // replays assemble too
   EXPECT_GT(edges, 10'000u);
   EXPECT_GT(replaying_restarts, 5u);
+  EXPECT_GT(bulk_epochs, 20u);
+  EXPECT_GT(hatch_epochs, 20u);
+  EXPECT_LT(edges, full_edges);
+  RecordProperty("bulk_epochs", static_cast<int>(bulk_epochs));
+  RecordProperty("hatch_epochs", static_cast<int>(hatch_epochs));
+  RecordProperty("reach_edges", std::to_string(edges));
+  RecordProperty("full_edges", std::to_string(full_edges));
 }
 
 }  // namespace

@@ -24,27 +24,43 @@ std::atomic<std::uint64_t> g_new_calls{0};
 // Replaceable global allocation functions, counting every heap
 // acquisition. Frees are not counted: the contract under test is about
 // acquiring memory in the hot path.
-void* operator new(std::size_t size) {
+//
+// All eight stay out of line. Once one is inlined into a caller, GCC 12
+// sees std::malloc or std::free where the caller wrote `new` or
+// `delete` (gtest's static test registration, for one) and reports
+// -Wmismatched-new-delete, although every pointer freed here came from
+// the std::malloc in these same overrides.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
