@@ -1,17 +1,12 @@
 #include "io/market_io.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <initializer_list>
-#include <iomanip>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <unordered_set>
+#include <vector>
 
-#include "util/fault_injector.h"
+#include "io/text_codec.h"
 
 namespace mbta {
 
@@ -20,288 +15,259 @@ namespace {
 constexpr char kMarketHeader[] = "mbta-market v1";
 constexpr char kAssignmentHeader[] = "mbta-assignment v1";
 
-/// Hard ceilings on untrusted section counts. A hostile header like
-/// "workers 99999999999999999999" must fail validation, not drive a
-/// pre-allocation: strtoll-style extraction already rejects values that
-/// overflow long long, and these caps reject absurd-but-representable
-/// counts before any loop trusts them. The limits are far above every
-/// dataset in ROADMAP.md yet small enough that count * sizeof(entity)
-/// stays comfortably addressable.
-constexpr long long kMaxEntities = 50'000'000;     // workers, tasks
-constexpr long long kMaxEdgeCount = 500'000'000;   // edges, pairs
-constexpr std::size_t kMaxSkillDims = 4096;        // per-line skill vector
+/// Writers format into one string and hand it to the stream in chunks of
+/// about this size, so a large market never sits in memory twice.
+constexpr std::size_t kWriteChunk = std::size_t{1} << 16;
 
-/// IEEE quirk guard: NaN compares false against every bound, so a plain
-/// `x < 0.0 || x > 1.0` range check silently accepts it. Every double
-/// parsed from a file goes through here.
-bool AllFinite(std::initializer_list<double> values) {
-  for (double v : values) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
+void Flush(std::string* buf, std::ostream& out) {
+  out.write(buf->data(), static_cast<std::streamsize>(buf->size()));
+  buf->clear();
 }
 
-void Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
+void EndLine(std::string* buf, std::ostream& out) {
+  *buf += '\n';
+  if (buf->size() >= kWriteChunk) Flush(buf, out);
 }
 
-/// Reads one non-empty, non-comment line. Returns false at EOF.
-bool NextLine(std::istream& in, std::string* line) {
-  while (std::getline(in, *line)) {
-    if (!line->empty() && (*line)[0] != '#') return true;
-  }
-  return false;
-}
-
-bool ExpectCount(std::istream& in, const std::string& keyword,
-                 long long max_count, std::size_t* count,
-                 std::string* error) {
-  std::string line;
-  if (!NextLine(in, &line)) {
-    Fail(error, "unexpected end of file before '" + keyword + "'");
+template <typename Write>
+bool WriteToFile(const std::string& path, std::string* error, Write write) {
+  std::ofstream out(path);
+  if (!out) {
+    SetError(error, "cannot open for writing: " + path);
     return false;
   }
-  std::istringstream ls(line);
-  std::string word;
-  long long n = -1;
-  // Extraction fails (and the count is rejected) when the digits overflow
-  // long long, so "99999999999999999999" never wraps into a small value.
-  if (!(ls >> word >> n) || word != keyword || n < 0) {
-    Fail(error, "expected '" + keyword + " <count>', got: " + line);
-    return false;
-  }
-  if (n > max_count) {
-    Fail(error, "implausible " + keyword + " count " + std::to_string(n) +
-                    " (limit " + std::to_string(max_count) + ")");
-    return false;
-  }
-  *count = static_cast<std::size_t>(n);
-  return true;
+  write(out);
+  return static_cast<bool>(out);
 }
 
-void WriteSkills(const SkillVector& skills, std::ostream& out) {
-  for (double s : skills) out << ' ' << s;
-}
-
-bool ReadSkills(std::istringstream& ls, SkillVector* skills) {
-  double v = 0.0;
-  while (ls >> v) {
-    if (!std::isfinite(v) || v < 0.0) return false;
-    if (skills->size() >= kMaxSkillDims) return false;
-    skills->push_back(v);
+/// Index of the first edge, in file order, whose (worker, task) pair an
+/// earlier edge already has; `workers.size()` when none repeats. Edges
+/// are bucketed by worker with a stable counting sort and each task is
+/// stamped with the last row that reached it: BipartiteGraphBuilder's
+/// O(V + E) check, with no hash container.
+std::size_t FirstDuplicateEdge(const std::vector<WorkerId>& workers,
+                               const std::vector<TaskId>& tasks,
+                               std::size_t num_workers,
+                               std::size_t num_tasks) {
+  std::vector<std::size_t> row_end(num_workers + 1, 0);
+  for (WorkerId w : workers) ++row_end[w + 1];
+  for (std::size_t w = 0; w < num_workers; ++w) row_end[w + 1] += row_end[w];
+  std::vector<std::size_t> by_row(workers.size());
+  for (std::size_t e = 0; e < workers.size(); ++e) {
+    by_row[row_end[workers[e]]++] = e;
   }
-  // The loop must have stopped at end-of-line, not at an unparseable
-  // token: num_get rejects "nan"/"inf" spellings without consuming them,
-  // and silently dropping trailing garbage would mask corrupt files.
-  return ls.eof();
+  std::vector<std::size_t> stamp(num_tasks, num_workers);
+  std::size_t first = workers.size();
+  for (std::size_t w = 0, i = 0; w < num_workers; ++w) {
+    for (; i < row_end[w]; ++i) {
+      const std::size_t e = by_row[i];
+      if (stamp[tasks[e]] == w) first = std::min(first, e);
+      stamp[tasks[e]] = w;
+    }
+  }
+  return first;
 }
 
 }  // namespace
 
 void WriteMarket(const LaborMarket& market, std::ostream& out) {
-  out << kMarketHeader << '\n';
-  out << "name " << market.name() << '\n';
-  out << std::setprecision(17);
-  out << "workers " << market.NumWorkers() << '\n';
+  std::string buf;
+  buf += kMarketHeader;
+  buf += "\nname ";
+  buf += market.name();
+  buf += '\n';
+  AppendKeyword("workers", market.NumWorkers(), &buf);
   for (const Worker& w : market.workers()) {
-    out << "w " << w.capacity << ' ' << w.unit_cost << ' ' << w.fatigue
-        << ' ' << w.reliability;
-    WriteSkills(w.skills, out);
-    out << '\n';
+    buf += "w ";
+    AppendWorkerFields(w, &buf);
+    EndLine(&buf, out);
   }
-  out << "tasks " << market.NumTasks() << '\n';
+  AppendKeyword("tasks", market.NumTasks(), &buf);
   for (const Task& t : market.tasks()) {
-    out << "t " << t.capacity << ' ' << t.payment << ' ' << t.value << ' '
-        << t.difficulty << ' ' << t.requester;
-    WriteSkills(t.required_skills, out);
-    out << '\n';
+    buf += "t ";
+    AppendTaskFields(t, &buf);
+    EndLine(&buf, out);
   }
-  out << "edges " << market.NumEdges() << '\n';
+  AppendKeyword("edges", market.NumEdges(), &buf);
   for (EdgeId e = 0; e < market.NumEdges(); ++e) {
-    out << "e " << market.EdgeWorker(e) << ' ' << market.EdgeTask(e) << ' '
-        << market.Quality(e) << ' ' << market.WorkerBenefit(e) << '\n';
+    buf += "e ";
+    AppendNumber(market.EdgeWorker(e), &buf);
+    buf += ' ';
+    AppendNumber(market.EdgeTask(e), &buf);
+    buf += ' ';
+    AppendNumber(market.Quality(e), &buf);
+    buf += ' ';
+    AppendNumber(market.WorkerBenefit(e), &buf);
+    EndLine(&buf, out);
   }
+  Flush(&buf, out);
 }
 
-std::optional<LaborMarket> ReadMarket(std::istream& in, std::string* error,
+std::optional<LaborMarket> ReadMarket(std::string_view text,
+                                      std::string* error,
                                       FaultInjector* faults) {
-  std::string line;
-  if (!NextLine(in, &line) || line != kMarketHeader) {
-    Fail(error, "missing or bad header (want '" +
-                    std::string(kMarketHeader) + "')");
+  LineReader lines(text);
+  std::string_view line;
+  if (!lines.NextLine(&line) || line != kMarketHeader) {
+    SetError(error, "missing or bad header (want '" +
+                        std::string(kMarketHeader) + "')");
     return std::nullopt;
   }
-  if (!NextLine(in, &line) || line.rfind("name ", 0) != 0) {
-    Fail(error, "expected 'name <name>'");
+  // The writer spells an empty name "name ", which the line rule trims.
+  if (!lines.NextLine(&line) ||
+      (line != "name" && !line.starts_with("name "))) {
+    SetError(error, "expected 'name <name>'");
     return std::nullopt;
   }
   LaborMarketBuilder builder;
-  builder.SetName(line.substr(5));
+  builder.SetName(std::string(line.size() > 5 ? line.substr(5) : ""));
 
   std::size_t num_workers = 0;
-  if (!ExpectCount(in, "workers", kMaxEntities, &num_workers, error)) {
+  if (!ExpectCount(lines, "workers", kMaxEntities, &num_workers, error) ||
+      !ReadSection(lines, num_workers, "worker", faults, error,
+                   [&](std::string_view l, std::string*) {
+                     FieldCursor fields(l);
+                     Worker w;
+                     if (!fields.Expect("w") ||
+                         !ParseWorkerFields(fields, &w) || !ValidWorker(w)) {
+                       return false;
+                     }
+                     builder.AddWorker(std::move(w));
+                     return true;
+                   })) {
     return std::nullopt;
-  }
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    MaybeFail(faults, "io/read");
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated worker section");
-      return std::nullopt;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    Worker w;
-    if (!(ls >> tag >> w.capacity >> w.unit_cost >> w.fatigue >>
-          w.reliability) ||
-        tag != "w" || !ReadSkills(ls, &w.skills) ||
-        !AllFinite({w.unit_cost, w.fatigue, w.reliability}) ||
-        w.capacity < 0 || w.unit_cost < 0.0 || w.fatigue <= 0.0 ||
-        w.fatigue > 1.0 || w.reliability < 0.0 || w.reliability > 1.0) {
-      Fail(error, "bad worker line: " + line);
-      return std::nullopt;
-    }
-    builder.AddWorker(std::move(w));
   }
 
   std::size_t num_tasks = 0;
-  if (!ExpectCount(in, "tasks", kMaxEntities, &num_tasks, error)) {
+  if (!ExpectCount(lines, "tasks", kMaxEntities, &num_tasks, error) ||
+      !ReadSection(lines, num_tasks, "task", faults, error,
+                   [&](std::string_view l, std::string*) {
+                     FieldCursor fields(l);
+                     Task t;
+                     if (!fields.Expect("t") || !ParseTaskFields(fields, &t) ||
+                         !ValidTask(t)) {
+                       return false;
+                     }
+                     builder.AddTask(std::move(t));
+                     return true;
+                   })) {
     return std::nullopt;
-  }
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    MaybeFail(faults, "io/read");
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated task section");
-      return std::nullopt;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    Task t;
-    if (!(ls >> tag >> t.capacity >> t.payment >> t.value >>
-          t.difficulty >> t.requester) ||
-        tag != "t" || !ReadSkills(ls, &t.required_skills) ||
-        !AllFinite({t.payment, t.value, t.difficulty}) ||
-        t.capacity < 0 || t.payment < 0.0 || t.value < 0.0 ||
-        t.difficulty < 0.0 || t.difficulty > 1.0) {
-      Fail(error, "bad task line: " + line);
-      return std::nullopt;
-    }
-    builder.AddTask(std::move(t));
   }
 
   std::size_t num_edges = 0;
-  if (!ExpectCount(in, "edges", kMaxEdgeCount, &num_edges, error)) {
+  if (!ExpectCount(lines, "edges", kMaxPairs, &num_edges, error)) {
     return std::nullopt;
   }
   // Duplicate edges are rejected below, so any count beyond the complete
   // bipartite graph is a lie about the file that follows.
   if (num_edges > num_workers * num_tasks) {
-    Fail(error, "edge count exceeds workers * tasks");
+    SetError(error, "edge count exceeds workers * tasks");
     return std::nullopt;
   }
-  // mbta-lint: unordered-ok(membership-only duplicate probe, never iterated)
-  std::unordered_set<std::uint64_t> seen_pairs;
-  // Cap the speculative reservation: the declared count is untrusted
-  // input and parsing fails fast on the first missing line anyway.
-  seen_pairs.reserve(
-      std::min<std::size_t>(num_edges, 1u << 20) * 2);
-  for (std::size_t i = 0; i < num_edges; ++i) {
-    MaybeFail(faults, "io/read");
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated edge section");
-      return std::nullopt;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    std::uint64_t w = 0, t = 0;
-    EdgeAttributes attr;
-    if (!(ls >> tag >> w >> t >> attr.quality >> attr.worker_benefit) ||
-        tag != "e" || w >= num_workers || t >= num_tasks ||
-        !AllFinite({attr.quality, attr.worker_benefit}) ||
-        attr.quality < 0.0 || attr.quality > 1.0 ||
-        attr.worker_benefit < 0.0) {
-      Fail(error, "bad edge line: " + line);
-      return std::nullopt;
-    }
-    if (!seen_pairs.insert((w << 32) | t).second) {
-      Fail(error, "duplicate edge: " + line);
-      return std::nullopt;
-    }
-    builder.AddEdge(static_cast<WorkerId>(w), static_cast<TaskId>(t), attr);
+  std::vector<WorkerId> edge_workers;
+  std::vector<TaskId> edge_tasks;
+  const LineReader edge_lines = lines;
+  const bool read = ReadSection(
+      lines, num_edges, "edge", faults, error,
+      [&](std::string_view l, std::string*) {
+        FieldCursor fields(l);
+        std::uint64_t w = 0, t = 0;
+        EdgeAttributes attr;
+        if (!fields.Expect("e") || !fields.Take(&w) || !fields.Take(&t) ||
+            !fields.Take(&attr.quality) ||
+            !fields.Take(&attr.worker_benefit) || !fields.Done() ||
+            w >= num_workers || t >= num_tasks || attr.quality < 0.0 ||
+            attr.quality > 1.0 || attr.worker_benefit < 0.0) {
+          return false;
+        }
+        edge_workers.push_back(static_cast<WorkerId>(w));
+        edge_tasks.push_back(static_cast<TaskId>(t));
+        builder.AddEdge(edge_workers.back(), edge_tasks.back(), attr);
+        return true;
+      });
+  // A repeated pair is reported at its own line, ahead of any later bad
+  // line, as a line-at-a-time check would.
+  const std::size_t dup =
+      FirstDuplicateEdge(edge_workers, edge_tasks, num_workers, num_tasks);
+  if (dup < edge_workers.size()) {
+    LineReader again = edge_lines;
+    for (std::size_t i = 0; i <= dup; ++i) again.NextLine(&line);
+    SetError(error, "duplicate edge: " + std::string(line));
+    return std::nullopt;
   }
+  if (!read) return std::nullopt;
   return builder.Build();
 }
 
 bool WriteMarketToFile(const LaborMarket& market, const std::string& path,
                        std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    Fail(error, "cannot open for writing: " + path);
-    return false;
-  }
-  WriteMarket(market, out);
-  return static_cast<bool>(out);
+  return WriteToFile(path, error,
+                     [&](std::ostream& out) { WriteMarket(market, out); });
 }
 
 std::optional<LaborMarket> ReadMarketFromFile(const std::string& path,
                                               std::string* error,
                                               FaultInjector* faults) {
-  std::ifstream in(path);
-  if (!in) {
-    Fail(error, "cannot open for reading: " + path);
+  std::string text;
+  if (!ReadFile(path, &text)) {
+    SetError(error, "cannot open for reading: " + path);
     return std::nullopt;
   }
-  return ReadMarket(in, error, faults);
+  return ReadMarket(text, error, faults);
 }
 
 void WriteAssignment(const LaborMarket& market, const Assignment& a,
                      std::ostream& out) {
-  out << kAssignmentHeader << '\n';
-  out << "pairs " << a.edges.size() << '\n';
+  std::string buf;
+  buf += kAssignmentHeader;
+  buf += '\n';
+  AppendKeyword("pairs", a.edges.size(), &buf);
   for (EdgeId e : a.edges) {
-    out << "a " << market.EdgeWorker(e) << ' ' << market.EdgeTask(e)
-        << '\n';
+    buf += "a ";
+    AppendNumber(market.EdgeWorker(e), &buf);
+    buf += ' ';
+    AppendNumber(market.EdgeTask(e), &buf);
+    EndLine(&buf, out);
   }
+  Flush(&buf, out);
 }
 
 std::optional<Assignment> ReadAssignment(const LaborMarket& market,
-                                         std::istream& in,
+                                         std::string_view text,
                                          std::string* error,
                                          FaultInjector* faults) {
-  std::string line;
-  if (!NextLine(in, &line) || line != kAssignmentHeader) {
-    Fail(error, "missing or bad header (want '" +
-                    std::string(kAssignmentHeader) + "')");
-    return std::nullopt;
-  }
-  std::size_t pairs = 0;
-  if (!ExpectCount(in, "pairs", kMaxEdgeCount, &pairs, error)) {
+  LineReader lines(text);
+  std::string_view line;
+  if (!lines.NextLine(&line) || line != kAssignmentHeader) {
+    SetError(error, "missing or bad header (want '" +
+                        std::string(kAssignmentHeader) + "')");
     return std::nullopt;
   }
   Assignment a;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    MaybeFail(faults, "io/read");
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated pair section");
-      return std::nullopt;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    std::uint64_t w = 0, t = 0;
-    if (!(ls >> tag >> w >> t) || tag != "a" || w >= market.NumWorkers() ||
-        t >= market.NumTasks()) {
-      Fail(error, "bad pair line: " + line);
-      return std::nullopt;
-    }
-    const EdgeId e = market.graph().FindEdge(static_cast<VertexId>(w),
-                                             static_cast<VertexId>(t));
-    if (e == kInvalidEdge) {
-      Fail(error, "pair is not an eligible edge: " + line);
-      return std::nullopt;
-    }
-    a.edges.push_back(e);
+  std::size_t pairs = 0;
+  if (!ExpectCount(lines, "pairs", kMaxPairs, &pairs, error) ||
+      !ReadSection(lines, pairs, "pair", faults, error,
+                   [&](std::string_view l, std::string* why) {
+                     FieldCursor fields(l);
+                     std::uint64_t w = 0, t = 0;
+                     if (!fields.Expect("a") || !fields.Take(&w) ||
+                         !fields.Take(&t) || !fields.Done() ||
+                         w >= market.NumWorkers() || t >= market.NumTasks()) {
+                       return false;
+                     }
+                     const EdgeId e = market.graph().FindEdge(
+                         static_cast<VertexId>(w), static_cast<VertexId>(t));
+                     if (e == kInvalidEdge) {
+                       *why = "pair is not an eligible edge: " + std::string(l);
+                       return false;
+                     }
+                     a.edges.push_back(e);
+                     return true;
+                   })) {
+    return std::nullopt;
   }
   if (!IsFeasible(market, a)) {
-    Fail(error, "assignment violates capacities or repeats a pair");
+    SetError(error, "assignment violates capacities or repeats a pair");
     return std::nullopt;
   }
   return a;
@@ -309,25 +275,21 @@ std::optional<Assignment> ReadAssignment(const LaborMarket& market,
 
 bool WriteAssignmentToFile(const LaborMarket& market, const Assignment& a,
                            const std::string& path, std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    Fail(error, "cannot open for writing: " + path);
-    return false;
-  }
-  WriteAssignment(market, a, out);
-  return static_cast<bool>(out);
+  return WriteToFile(path, error, [&](std::ostream& out) {
+    WriteAssignment(market, a, out);
+  });
 }
 
 std::optional<Assignment> ReadAssignmentFromFile(const LaborMarket& market,
                                                  const std::string& path,
                                                  std::string* error,
                                                  FaultInjector* faults) {
-  std::ifstream in(path);
-  if (!in) {
-    Fail(error, "cannot open for reading: " + path);
+  std::string text;
+  if (!ReadFile(path, &text)) {
+    SetError(error, "cannot open for reading: " + path);
     return std::nullopt;
   }
-  return ReadAssignment(market, in, error, faults);
+  return ReadAssignment(market, text, error, faults);
 }
 
 }  // namespace mbta

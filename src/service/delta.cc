@@ -1,46 +1,22 @@
 #include "service/delta.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <istream>
+#include <iterator>
 #include <limits>
-#include <sstream>
-#include <string_view>
 
-#include "service/text_codec.h"
+#include "io/text_codec.h"
 
 namespace mbta {
 
 namespace {
 
-/// Same ceiling market_io enforces: a hostile record may not make us
-/// reserve an absurd skill vector before validation.
-constexpr std::size_t kMaxSkillDims = 4096;
-
-bool AllFinite(std::initializer_list<double> values) {
-  for (double v : values) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
-bool FinitePositiveSkills(const SkillVector& skills, std::string* error) {
-  if (skills.size() > kMaxSkillDims) {
-    if (error != nullptr) *error = "skill vector too long";
-    return false;
-  }
-  for (double s : skills) {
-    if (!std::isfinite(s) || s < 0.0) {
-      if (error != nullptr) *error = "skill weights must be finite and >= 0";
-      return false;
-    }
-  }
-  return true;
-}
-
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-}
+/// The text verbs, indexed by DeltaKind.
+constexpr const char* kVerbs[] = {
+    "unknown",         "add-worker",    "add-task",
+    "rm-worker",       "rm-task",       "worker-capacity",
+    "task-capacity",   "task-payment",  "task-value"};
 
 // --- little-endian scalar codec -------------------------------------------
 
@@ -131,25 +107,8 @@ bool TakeSkills(Cursor& cur, SkillVector* skills) {
 }  // namespace
 
 const char* ToString(DeltaKind kind) {
-  switch (kind) {
-    case DeltaKind::kAddWorker:
-      return "add-worker";
-    case DeltaKind::kAddTask:
-      return "add-task";
-    case DeltaKind::kRemoveWorker:
-      return "rm-worker";
-    case DeltaKind::kRemoveTask:
-      return "rm-task";
-    case DeltaKind::kWorkerCapacity:
-      return "worker-capacity";
-    case DeltaKind::kTaskCapacity:
-      return "task-capacity";
-    case DeltaKind::kTaskPayment:
-      return "task-payment";
-    case DeltaKind::kTaskValue:
-      return "task-value";
-  }
-  return "unknown";
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kVerbs) ? kVerbs[k] : "unknown";
 }
 
 bool Delta::operator==(const Delta& other) const {
@@ -183,26 +142,10 @@ bool Delta::operator==(const Delta& other) const {
 
 bool ValidateDelta(const Delta& delta, std::string* error) {
   switch (delta.kind) {
-    case DeltaKind::kAddWorker: {
-      const Worker& w = delta.worker;
-      if (!AllFinite({w.unit_cost, w.fatigue, w.reliability}) ||
-          w.capacity < 0 || w.unit_cost < 0.0 || w.fatigue <= 0.0 ||
-          w.fatigue > 1.0 || w.reliability < 0.0 || w.reliability > 1.0) {
-        SetError(error, "bad worker fields");
-        return false;
-      }
-      return FinitePositiveSkills(w.skills, error);
-    }
-    case DeltaKind::kAddTask: {
-      const Task& t = delta.task;
-      if (!AllFinite({t.payment, t.value, t.difficulty}) || t.capacity < 0 ||
-          t.payment < 0.0 || t.value < 0.0 || t.difficulty < 0.0 ||
-          t.difficulty > 1.0) {
-        SetError(error, "bad task fields");
-        return false;
-      }
-      return FinitePositiveSkills(t.required_skills, error);
-    }
+    case DeltaKind::kAddWorker:
+      return ValidWorker(delta.worker, error);
+    case DeltaKind::kAddTask:
+      return ValidTask(delta.task, error);
     case DeltaKind::kRemoveWorker:
     case DeltaKind::kRemoveTask:
       return true;
@@ -225,45 +168,19 @@ bool ValidateDelta(const Delta& delta, std::string* error) {
   return false;
 }
 
-void AppendWorkerFields(std::uint64_t id, const Worker& w, std::string* out) {
-  AppendNumber(id, out);
-  *out += ' ';
-  AppendNumber(w.capacity, out);
-  for (double v : {w.unit_cost, w.fatigue, w.reliability}) {
-    *out += ' ';
-    AppendNumber(v, out);
-  }
-  for (double s : w.skills) {
-    *out += ' ';
-    AppendNumber(s, out);
-  }
-}
-
-void AppendTaskFields(std::uint64_t id, const Task& t, std::string* out) {
-  AppendNumber(id, out);
-  *out += ' ';
-  AppendNumber(t.capacity, out);
-  for (double v : {t.payment, t.value, t.difficulty}) {
-    *out += ' ';
-    AppendNumber(v, out);
-  }
-  *out += ' ';
-  AppendNumber(t.requester, out);
-  for (double s : t.required_skills) {
-    *out += ' ';
-    AppendNumber(s, out);
-  }
-}
-
 void AppendFormattedDelta(const Delta& delta, std::string* out) {
   *out += ToString(delta.kind);
   *out += ' ';
   switch (delta.kind) {
     case DeltaKind::kAddWorker:
-      AppendWorkerFields(delta.id, delta.worker, out);
+      AppendNumber(delta.id, out);
+      *out += ' ';
+      AppendWorkerFields(delta.worker, out);
       return;
     case DeltaKind::kAddTask:
-      AppendTaskFields(delta.id, delta.task, out);
+      AppendNumber(delta.id, out);
+      *out += ' ';
+      AppendTaskFields(delta.task, out);
       return;
     case DeltaKind::kRemoveWorker:
     case DeltaKind::kRemoveTask:
@@ -290,104 +207,75 @@ std::string FormatDelta(const Delta& delta) {
   return out;
 }
 
-std::optional<Delta> ParseDelta(const std::string& line, std::string* error) {
-  std::istringstream in(line);
-  std::string verb;
-  if (!(in >> verb)) {
+std::optional<Delta> ParseDelta(std::string_view line, std::string* error) {
+  FieldCursor fields(line);
+  std::string_view verb;
+  if (!fields.Word(&verb)) {
     SetError(error, "empty delta line");
     return std::nullopt;
   }
-  Delta d;
-  if (verb == "add-worker") {
-    d.kind = DeltaKind::kAddWorker;
-  } else if (verb == "add-task") {
-    d.kind = DeltaKind::kAddTask;
-  } else if (verb == "rm-worker") {
-    d.kind = DeltaKind::kRemoveWorker;
-  } else if (verb == "rm-task") {
-    d.kind = DeltaKind::kRemoveTask;
-  } else if (verb == "worker-capacity") {
-    d.kind = DeltaKind::kWorkerCapacity;
-  } else if (verb == "task-capacity") {
-    d.kind = DeltaKind::kTaskCapacity;
-  } else if (verb == "task-payment") {
-    d.kind = DeltaKind::kTaskPayment;
-  } else if (verb == "task-value") {
-    d.kind = DeltaKind::kTaskValue;
-  } else {
-    SetError(error, "unknown delta verb: " + verb);
+  const auto known = std::find(std::begin(kVerbs) + 1, std::end(kVerbs), verb);
+  if (known == std::end(kVerbs)) {
+    SetError(error, "unknown delta verb: " + std::string(verb));
     return std::nullopt;
   }
-  bool ok = static_cast<bool>(in >> d.id);
+  Delta d;
+  d.kind = static_cast<DeltaKind>(known - std::begin(kVerbs));
+  bool ok = fields.Take(&d.id);
   switch (d.kind) {
     case DeltaKind::kAddWorker:
-      ok = ok && (in >> d.worker.capacity >> d.worker.unit_cost >>
-                  d.worker.fatigue >> d.worker.reliability);
-      if (ok) {
-        double s = 0.0;
-        while (in >> s) d.worker.skills.push_back(s);
-        ok = in.eof();
-      }
+      ok = ok && ParseWorkerFields(fields, &d.worker);
       break;
     case DeltaKind::kAddTask:
-      ok = ok && (in >> d.task.capacity >> d.task.payment >> d.task.value >>
-                  d.task.difficulty >> d.task.requester);
-      if (ok) {
-        double s = 0.0;
-        while (in >> s) d.task.required_skills.push_back(s);
-        ok = in.eof();
-      }
+      ok = ok && ParseTaskFields(fields, &d.task);
       break;
     case DeltaKind::kRemoveWorker:
     case DeltaKind::kRemoveTask:
       break;
     case DeltaKind::kWorkerCapacity:
     case DeltaKind::kTaskCapacity:
-      ok = ok && (in >> d.capacity);
+      ok = ok && fields.Take(&d.capacity);
       break;
     case DeltaKind::kTaskPayment:
     case DeltaKind::kTaskValue:
-      ok = ok && (in >> d.amount);
+      ok = ok && fields.Take(&d.amount);
       break;
   }
-  if (ok && !in.eof()) {
-    std::string junk;
-    if (in >> junk) ok = false;  // trailing non-numeric tokens
-  }
-  if (!ok) {
-    SetError(error, "bad delta line: " + line);
+  if (!ok || !fields.Done()) {
+    SetError(error, "bad delta line: " + std::string(line));
     return std::nullopt;
   }
   if (!ValidateDelta(d, error)) return std::nullopt;
   return d;
 }
 
-std::optional<std::vector<ScriptEntry>> ParseDeltaScript(std::istream& in,
-                                                         std::string* error) {
+std::optional<std::vector<ScriptEntry>> ParseDeltaScript(
+    std::string_view text, std::string* error) {
   std::vector<ScriptEntry> entries;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    const std::size_t last = line.find_last_not_of(" \t\r");
-    const std::string body = line.substr(first, last - first + 1);
+  LineReader lines(text);
+  std::string_view line;
+  while (lines.NextLine(&line)) {
     ScriptEntry entry;
-    if (body == "epoch") {
+    if (line == "epoch") {
       entry.epoch = true;
     } else {
       std::string why;
-      std::optional<Delta> d = ParseDelta(body, &why);
+      std::optional<Delta> d = ParseDelta(line, &why);
       if (!d.has_value()) {
-        SetError(error, "line " + std::to_string(lineno) + ": " + why);
+        SetError(error,
+                 "line " + std::to_string(lines.line_number()) + ": " + why);
         return std::nullopt;
       }
-      entry.delta = *d;
+      entry.delta = std::move(*d);
     }
     entries.push_back(std::move(entry));
   }
   return entries;
+}
+
+std::optional<std::vector<ScriptEntry>> ParseDeltaScript(std::istream& in,
+                                                         std::string* error) {
+  return ParseDeltaScript(ReadAll(in), error);
 }
 
 void EncodeDelta(const Delta& delta, std::string* out) {

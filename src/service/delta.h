@@ -46,12 +46,11 @@ struct Delta {
   bool operator==(const Delta& other) const;
 };
 
-/// Field-level sanity independent of market state: finite numerics, range
-/// checks matching market_io's invariants (fatigue in (0,1], reliability
-/// and difficulty in [0,1], non-negative costs/payments/capacities,
-/// bounded skill dimension). Returns false and fills `error` (when
-/// non-null) on the first problem. The service additionally checks id
-/// liveness at admission.
+/// Field-level sanity independent of market state: arrivals pass the
+/// readers' ValidWorker / ValidTask range check (io/text_codec.h),
+/// capacities are >= 0 and amounts finite and >= 0. Returns false and
+/// fills `error` (when non-null) on the first problem. The service
+/// additionally checks id liveness at admission.
 bool ValidateDelta(const Delta& delta, std::string* error = nullptr);
 
 /// Text codec, one delta per line — the format of delta *script* files
@@ -67,11 +66,16 @@ bool ValidateDelta(const Delta& delta, std::string* error = nullptr);
 ///   task-payment <id> <payment>
 ///   task-value <id> <value>
 ///
-/// FormatDelta emits 17-significant-digit doubles, so a formatted delta
-/// parses back bit-identical — snapshot round trips preserve state
-/// exactly. ParseDelta rejects NaN/Inf, bad ranges, and trailing junk.
+/// Fields follow the line grammar of io/text_codec.h: ids are unsigned
+/// decimal integers, capacities signed ones, and every other number a
+/// finite double. FormatDelta emits 17-significant-digit doubles, so a
+/// formatted delta parses back bit-identical — snapshot round trips
+/// preserve state exactly. ParseDelta rejects bad spellings, NaN/Inf, bad
+/// ranges, and trailing junk.
 std::string FormatDelta(const Delta& delta);
-std::optional<Delta> ParseDelta(const std::string& line,
+/// Appends FormatDelta(delta) to `out`.
+void AppendFormattedDelta(const Delta& delta, std::string* out);
+std::optional<Delta> ParseDelta(std::string_view line,
                                 std::string* error = nullptr);
 
 /// One entry of a delta script: either a delta or an epoch barrier (the
@@ -83,7 +87,9 @@ struct ScriptEntry {
 
 /// Parses a whole script (blank lines and '#' comments skipped). Returns
 /// std::nullopt and fills `error` with a 1-based line diagnostic on the
-/// first bad line.
+/// first bad line. The stream form reads `in` to its end first.
+std::optional<std::vector<ScriptEntry>> ParseDeltaScript(
+    std::string_view text, std::string* error = nullptr);
 std::optional<std::vector<ScriptEntry>> ParseDeltaScript(
     std::istream& in, std::string* error = nullptr);
 

@@ -9,15 +9,12 @@
 #include "core/greedy_solver.h"
 #include "core/repair.h"
 #include "core/validate.h"
+#include "io/text_codec.h"
 #include "util/check.h"
 
 namespace mbta {
 
 namespace {
-
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-}
 
 /// Dense edge id of pair (w, t), or kInvalidEdge when the pair is not an
 /// edge of this market. An assembled epoch market lists each worker's

@@ -1,22 +1,14 @@
 #include "service/snapshot.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 
+#include "io/text_codec.h"
 #include "service/wal.h"  // FileSyncer
 #include "util/crc32.h"
 #include "util/fault_injector.h"
 
 namespace mbta {
-
-namespace {
-
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-}
-
-}  // namespace
 
 bool WriteSnapshot(const ServiceState& state, const std::string& path,
                    std::string* error, FaultInjector* faults,
@@ -31,7 +23,7 @@ bool WriteSnapshot(const ServiceState& state, const std::string& path,
     return false;
   }
   std::string sealed = body;
-  sealed += "checksum " + std::to_string(Crc32(body)) + "\n";
+  AppendKeyword("checksum", Crc32(body), &sealed);
   const bool written =
       std::fwrite(sealed.data(), 1, sealed.size(), file) == sealed.size() &&
       syncer->Sync(file);
@@ -51,39 +43,33 @@ bool WriteSnapshot(const ServiceState& state, const std::string& path,
 
 std::optional<ServiceState> ReadSnapshot(const std::string& path,
                                          std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string buffer;
+  if (!ReadFile(path, &buffer)) {
     SetError(error, "cannot open snapshot: " + path);
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string contents = buf.str();
+  const std::string_view contents = buffer;
   // The trailer is the last non-empty line; everything before it is the
   // checksummed body. Verify before parsing a single field.
   const std::size_t trailer_at = contents.rfind("checksum ");
-  if (trailer_at == std::string::npos ||
+  if (trailer_at == std::string_view::npos ||
       (trailer_at != 0 && contents[trailer_at - 1] != '\n')) {
     SetError(error, "snapshot missing checksum trailer: " + path);
     return std::nullopt;
   }
-  std::istringstream trailer(contents.substr(trailer_at));
-  std::string word;
-  unsigned long long want = 0;
-  std::string junk;
-  if (!(trailer >> word >> want) || word != "checksum" || (trailer >> junk) ||
-      want > 0xFFFFFFFFull) {
+  FieldCursor trailer(contents.substr(trailer_at));
+  std::uint32_t want = 0;
+  if (!trailer.Expect("checksum") || !trailer.Take(&want) || !trailer.Done()) {
     SetError(error, "snapshot has malformed checksum trailer: " + path);
     return std::nullopt;
   }
-  const std::string body = contents.substr(0, trailer_at);
-  if (Crc32(body) != static_cast<std::uint32_t>(want)) {
+  const std::string_view body = contents.substr(0, trailer_at);
+  if (Crc32(body) != want) {
     SetError(error, "snapshot checksum mismatch: " + path);
     return std::nullopt;
   }
-  std::istringstream body_in(body);
   std::string why;
-  std::optional<ServiceState> state = ParseServiceState(body_in, &why);
+  std::optional<ServiceState> state = ParseServiceState(body, &why);
   if (!state.has_value()) {
     SetError(error, "snapshot parse error: " + why);
     return std::nullopt;

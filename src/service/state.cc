@@ -1,77 +1,40 @@
 #include "service/state.h"
 
 #include <algorithm>
-#include <cmath>
-#include <istream>
-#include <sstream>
+#include <utility>
 
-#include "service/text_codec.h"
+#include "io/text_codec.h"
 #include "util/crc32.h"
 
 namespace mbta {
 
 namespace {
 
-// Same pre-allocation ceilings market_io enforces: a hostile snapshot
-// header may not make the parser reserve unbounded memory.
-constexpr long long kMaxEntities = 50'000'000;
-constexpr long long kMaxPairs = 500'000'000;
-constexpr long long kMaxPending = 10'000'000;
-
-void Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
+/// One sorted-id pass over a section's entities, in line order: returns
+/// their stable ids sorted, and sets `*repeat` to the id of the first
+/// line that repeats an earlier line's id, if any.
+template <typename Entity>
+std::vector<std::uint64_t> SortIds(const std::vector<Entity>& entities,
+                                   std::optional<std::uint64_t>* repeat) {
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(entities.size());
+  for (std::size_t i = 0; i < entities.size(); ++i) {
+    keyed[i] = {entities[i].id, i};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::size_t first = entities.size();
+  std::vector<std::uint64_t> sorted(entities.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    sorted[i] = keyed[i].first;
+    if (i > 0 && keyed[i].first == keyed[i - 1].first) {
+      first = std::min(first, keyed[i].second);
+    }
+  }
+  if (first < entities.size()) *repeat = entities[first].id;
+  return sorted;
 }
 
-bool NextLine(std::istream& in, std::string* line) {
-  while (std::getline(in, *line)) {
-    const std::size_t first = line->find_first_not_of(" \t\r");
-    if (first == std::string::npos || (*line)[first] == '#') continue;
-    const std::size_t last = line->find_last_not_of(" \t\r");
-    *line = line->substr(first, last - first + 1);
-    return true;
-  }
-  return false;
-}
-
-/// Reads "<keyword> <count>" with overflow-proof extraction (long long
-/// never wraps for any decimal that fits a line) and a hard ceiling.
-bool ExpectCount(std::istream& in, const std::string& keyword,
-                 long long ceiling, long long* count, std::string* error) {
-  std::string line;
-  if (!NextLine(in, &line)) {
-    Fail(error, "unexpected end of file before '" + keyword + "'");
-    return false;
-  }
-  std::istringstream ls(line);
-  std::string word;
-  long long n = 0;
-  if (!(ls >> word >> n) || word != keyword || (ls >> word)) {
-    Fail(error, "expected '" + keyword + " <count>', got: " + line);
-    return false;
-  }
-  if (n < 0 || n > ceiling) {
-    Fail(error, "implausible " + keyword + " count " + std::to_string(n) +
-                    " (max " + std::to_string(ceiling) + ")");
-    return false;
-  }
-  *count = n;
-  return true;
-}
-
-bool ExpectScalar(std::istream& in, const std::string& keyword,
-                  std::uint64_t* value, std::string* error) {
-  std::string line;
-  if (!NextLine(in, &line)) {
-    Fail(error, "unexpected end of file before '" + keyword + "'");
-    return false;
-  }
-  std::istringstream ls(line);
-  std::string word;
-  if (!(ls >> word >> *value) || word != keyword || (ls >> word)) {
-    Fail(error, "expected '" + keyword + " <value>', got: " + line);
-    return false;
-  }
-  return true;
+bool Contains(const std::vector<std::uint64_t>& sorted, std::uint64_t id) {
+  return std::binary_search(sorted.begin(), sorted.end(), id);
 }
 
 }  // namespace
@@ -94,14 +57,14 @@ bool ApplyDelta(ServiceState& state, const Delta& delta, std::string* error) {
   switch (delta.kind) {
     case DeltaKind::kAddWorker:
       if (state.WorkerIndex(delta.id) != ServiceState::npos) {
-        Fail(error, "worker id already live: " + std::to_string(delta.id));
+        SetError(error, "worker id already live: " + std::to_string(delta.id));
         return false;
       }
       state.workers.push_back(StableWorker{delta.id, delta.worker});
       return true;
     case DeltaKind::kAddTask:
       if (state.TaskIndex(delta.id) != ServiceState::npos) {
-        Fail(error, "task id already live: " + std::to_string(delta.id));
+        SetError(error, "task id already live: " + std::to_string(delta.id));
         return false;
       }
       state.tasks.push_back(StableTask{delta.id, delta.task});
@@ -109,7 +72,7 @@ bool ApplyDelta(ServiceState& state, const Delta& delta, std::string* error) {
     case DeltaKind::kRemoveWorker: {
       const std::size_t i = state.WorkerIndex(delta.id);
       if (i == ServiceState::npos) {
-        Fail(error, "no such worker: " + std::to_string(delta.id));
+        SetError(error, "no such worker: " + std::to_string(delta.id));
         return false;
       }
       state.workers.erase(state.workers.begin() +
@@ -122,7 +85,7 @@ bool ApplyDelta(ServiceState& state, const Delta& delta, std::string* error) {
     case DeltaKind::kRemoveTask: {
       const std::size_t i = state.TaskIndex(delta.id);
       if (i == ServiceState::npos) {
-        Fail(error, "no such task: " + std::to_string(delta.id));
+        SetError(error, "no such task: " + std::to_string(delta.id));
         return false;
       }
       state.tasks.erase(state.tasks.begin() + static_cast<std::ptrdiff_t>(i));
@@ -133,7 +96,7 @@ bool ApplyDelta(ServiceState& state, const Delta& delta, std::string* error) {
     case DeltaKind::kWorkerCapacity: {
       const std::size_t i = state.WorkerIndex(delta.id);
       if (i == ServiceState::npos) {
-        Fail(error, "no such worker: " + std::to_string(delta.id));
+        SetError(error, "no such worker: " + std::to_string(delta.id));
         return false;
       }
       state.workers[i].worker.capacity = delta.capacity;
@@ -142,7 +105,7 @@ bool ApplyDelta(ServiceState& state, const Delta& delta, std::string* error) {
     case DeltaKind::kTaskCapacity: {
       const std::size_t i = state.TaskIndex(delta.id);
       if (i == ServiceState::npos) {
-        Fail(error, "no such task: " + std::to_string(delta.id));
+        SetError(error, "no such task: " + std::to_string(delta.id));
         return false;
       }
       state.tasks[i].task.capacity = delta.capacity;
@@ -151,7 +114,7 @@ bool ApplyDelta(ServiceState& state, const Delta& delta, std::string* error) {
     case DeltaKind::kTaskPayment: {
       const std::size_t i = state.TaskIndex(delta.id);
       if (i == ServiceState::npos) {
-        Fail(error, "no such task: " + std::to_string(delta.id));
+        SetError(error, "no such task: " + std::to_string(delta.id));
         return false;
       }
       state.tasks[i].task.payment = delta.amount;
@@ -160,14 +123,14 @@ bool ApplyDelta(ServiceState& state, const Delta& delta, std::string* error) {
     case DeltaKind::kTaskValue: {
       const std::size_t i = state.TaskIndex(delta.id);
       if (i == ServiceState::npos) {
-        Fail(error, "no such task: " + std::to_string(delta.id));
+        SetError(error, "no such task: " + std::to_string(delta.id));
         return false;
       }
       state.tasks[i].task.value = delta.amount;
       return true;
     }
   }
-  Fail(error, "unknown delta kind");
+  SetError(error, "unknown delta kind");
   return false;
 }
 
@@ -196,29 +159,27 @@ std::string SerializeServiceState(const ServiceState& state) {
   }
   std::string out;
   out.reserve(25 * numbers);
-  const auto line = [&out](const char* keyword, std::uint64_t value) {
-    out += keyword;
-    out += ' ';
-    AppendNumber(value, &out);
-    out += '\n';
-  };
   out += "mbta-service-state v1\n";
-  line("epoch", state.epoch);
-  line("wal_records", state.wal_records);
-  line("reference", state.reference_bits);
-  line("workers", state.workers.size());
+  AppendKeyword("epoch", state.epoch, &out);
+  AppendKeyword("wal_records", state.wal_records, &out);
+  AppendKeyword("reference", state.reference_bits, &out);
+  AppendKeyword("workers", state.workers.size(), &out);
   for (const StableWorker& sw : state.workers) {
     out += "w ";
-    AppendWorkerFields(sw.id, sw.worker, &out);
+    AppendNumber(sw.id, &out);
+    out += ' ';
+    AppendWorkerFields(sw.worker, &out);
     out += '\n';
   }
-  line("tasks", state.tasks.size());
+  AppendKeyword("tasks", state.tasks.size(), &out);
   for (const StableTask& st : state.tasks) {
     out += "t ";
-    AppendTaskFields(st.id, st.task, &out);
+    AppendNumber(st.id, &out);
+    out += ' ';
+    AppendTaskFields(st.task, &out);
     out += '\n';
   }
-  line("pairs", state.pairs.size());
+  AppendKeyword("pairs", state.pairs.size(), &out);
   for (const StablePair& p : state.pairs) {
     out += "a ";
     AppendNumber(p.worker, &out);
@@ -226,7 +187,7 @@ std::string SerializeServiceState(const ServiceState& state) {
     AppendNumber(p.task, &out);
     out += '\n';
   }
-  line("pending", state.pending.size());
+  AppendKeyword("pending", state.pending.size(), &out);
   for (const Delta& d : state.pending) {
     out += "d ";
     AppendFormattedDelta(d, &out);
@@ -235,121 +196,120 @@ std::string SerializeServiceState(const ServiceState& state) {
   return out;
 }
 
-std::optional<ServiceState> ParseServiceState(std::istream& in,
+std::optional<ServiceState> ParseServiceState(std::string_view text,
                                               std::string* error) {
   ServiceState state;
-  std::string line;
-  if (!NextLine(in, &line) || line != "mbta-service-state v1") {
-    Fail(error, "missing or bad header (want 'mbta-service-state v1')");
+  LineReader lines(text);
+  std::string_view line;
+  if (!lines.NextLine(&line) || line != "mbta-service-state v1") {
+    SetError(error, "missing or bad header (want 'mbta-service-state v1')");
     return std::nullopt;
   }
-  if (!ExpectScalar(in, "epoch", &state.epoch, error) ||
-      !ExpectScalar(in, "wal_records", &state.wal_records, error) ||
-      !ExpectScalar(in, "reference", &state.reference_bits, error)) {
+  if (!ExpectScalar(lines, "epoch", &state.epoch, error) ||
+      !ExpectScalar(lines, "wal_records", &state.wal_records, error) ||
+      !ExpectScalar(lines, "reference", &state.reference_bits, error)) {
     return std::nullopt;
   }
 
-  long long num_workers = 0;
-  if (!ExpectCount(in, "workers", kMaxEntities, &num_workers, error)) {
+  // Each entity section is checked for repeated ids in one sorted pass
+  // over the lines it read, even when a later line is bad: a repeat is
+  // reported at its own line, as a line-at-a-time check would.
+  const auto ids_unique = [error](const char* side, const auto& entities,
+                                 bool read,
+                                 std::vector<std::uint64_t>* sorted) {
+    std::optional<std::uint64_t> repeat;
+    *sorted = SortIds(entities, &repeat);
+    if (repeat.has_value()) {
+      SetError(error, std::string("duplicate ") + side + " id: " +
+                          std::to_string(*repeat));
+      return false;
+    }
+    return read;
+  };
+  std::size_t count = 0;
+  std::vector<std::uint64_t> worker_ids;
+  if (!ExpectCount(lines, "workers", kMaxEntities, &count, error)) {
     return std::nullopt;
   }
-  state.workers.reserve(static_cast<std::size_t>(num_workers));
-  for (long long i = 0; i < num_workers; ++i) {
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated worker section");
-      return std::nullopt;
-    }
-    // Re-spell the line as an add-worker delta and reuse its hardened
-    // parser: one validator, one set of range rules.
-    std::optional<Delta> d;
-    if (line.size() > 2 && line[0] == 'w' && line[1] == ' ') {
-      d = ParseDelta("add-worker " + line.substr(2), error);
-    }
-    if (!d.has_value() || d->kind != DeltaKind::kAddWorker) {
-      Fail(error, "bad worker line: " + line);
-      return std::nullopt;
-    }
-    if (state.WorkerIndex(d->id) != ServiceState::npos) {
-      Fail(error, "duplicate worker id: " + std::to_string(d->id));
-      return std::nullopt;
-    }
-    state.workers.push_back(StableWorker{d->id, d->worker});
+  state.workers.reserve(count);
+  const bool workers_read = ReadSection(
+      lines, count, "worker", nullptr, error,
+      [&](std::string_view l, std::string*) {
+        FieldCursor fields(l);
+        StableWorker sw;
+        if (!fields.Expect("w") || !fields.Take(&sw.id) ||
+            !ParseWorkerFields(fields, &sw.worker) || !ValidWorker(sw.worker)) {
+          return false;
+        }
+        state.workers.push_back(std::move(sw));
+        return true;
+      });
+  if (!ids_unique("worker", state.workers, workers_read, &worker_ids)) {
+    return std::nullopt;
   }
 
-  long long num_tasks = 0;
-  if (!ExpectCount(in, "tasks", kMaxEntities, &num_tasks, error)) {
+  std::vector<std::uint64_t> task_ids;
+  if (!ExpectCount(lines, "tasks", kMaxEntities, &count, error)) {
     return std::nullopt;
   }
-  state.tasks.reserve(static_cast<std::size_t>(num_tasks));
-  for (long long i = 0; i < num_tasks; ++i) {
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated task section");
-      return std::nullopt;
-    }
-    std::optional<Delta> d;
-    if (line.size() > 2 && line[0] == 't' && line[1] == ' ') {
-      d = ParseDelta("add-task " + line.substr(2), error);
-    }
-    if (!d.has_value() || d->kind != DeltaKind::kAddTask) {
-      Fail(error, "bad task line: " + line);
-      return std::nullopt;
-    }
-    if (state.TaskIndex(d->id) != ServiceState::npos) {
-      Fail(error, "duplicate task id: " + std::to_string(d->id));
-      return std::nullopt;
-    }
-    state.tasks.push_back(StableTask{d->id, d->task});
+  state.tasks.reserve(count);
+  const bool tasks_read = ReadSection(
+      lines, count, "task", nullptr, error,
+      [&](std::string_view l, std::string*) {
+        FieldCursor fields(l);
+        StableTask st;
+        if (!fields.Expect("t") || !fields.Take(&st.id) ||
+            !ParseTaskFields(fields, &st.task) || !ValidTask(st.task)) {
+          return false;
+        }
+        state.tasks.push_back(std::move(st));
+        return true;
+      });
+  if (!ids_unique("task", state.tasks, tasks_read, &task_ids)) {
+    return std::nullopt;
   }
 
-  long long num_pairs = 0;
-  if (!ExpectCount(in, "pairs", kMaxPairs, &num_pairs, error)) {
+  if (!ExpectCount(lines, "pairs", kMaxPairs, &count, error)) {
     return std::nullopt;
   }
-  state.pairs.reserve(static_cast<std::size_t>(num_pairs));
-  for (long long i = 0; i < num_pairs; ++i) {
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated pair section");
-      return std::nullopt;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    StablePair p;
-    if (!(ls >> tag >> p.worker >> p.task) || tag != "a" || (ls >> tag)) {
-      Fail(error, "bad pair line: " + line);
-      return std::nullopt;
-    }
-    if (state.WorkerIndex(p.worker) == ServiceState::npos ||
-        state.TaskIndex(p.task) == ServiceState::npos) {
-      Fail(error, "pair references unknown entity: " + line);
-      return std::nullopt;
-    }
-    state.pairs.push_back(p);
+  state.pairs.reserve(count);
+  if (!ReadSection(lines, count, "pair", nullptr, error,
+                   [&](std::string_view l, std::string* why) {
+                     FieldCursor fields(l);
+                     StablePair p;
+                     if (!fields.Expect("a") || !fields.Take(&p.worker) ||
+                         !fields.Take(&p.task) || !fields.Done()) {
+                       return false;
+                     }
+                     if (!Contains(worker_ids, p.worker) ||
+                         !Contains(task_ids, p.task)) {
+                       *why = "pair references unknown entity: " +
+                              std::string(l);
+                       return false;
+                     }
+                     state.pairs.push_back(p);
+                     return true;
+                   })) {
+    return std::nullopt;
   }
   if (!std::is_sorted(state.pairs.begin(), state.pairs.end()) ||
       std::adjacent_find(state.pairs.begin(), state.pairs.end()) !=
           state.pairs.end()) {
-    Fail(error, "pairs must be sorted and unique");
+    SetError(error, "pairs must be sorted and unique");
     return std::nullopt;
   }
 
-  long long num_pending = 0;
-  if (!ExpectCount(in, "pending", kMaxPending, &num_pending, error)) {
+  if (!ExpectCount(lines, "pending", kMaxPending, &count, error) ||
+      !ReadSection(lines, count, "pending", nullptr, error,
+                   [&](std::string_view l, std::string*) {
+                     FieldCursor fields(l);
+                     if (!fields.Expect("d")) return false;
+                     std::optional<Delta> d = ParseDelta(fields.rest());
+                     if (!d.has_value()) return false;
+                     state.pending.push_back(std::move(*d));
+                     return true;
+                   })) {
     return std::nullopt;
-  }
-  for (long long i = 0; i < num_pending; ++i) {
-    if (!NextLine(in, &line)) {
-      Fail(error, "truncated pending section");
-      return std::nullopt;
-    }
-    std::optional<Delta> d;
-    if (line.size() > 2 && line[0] == 'd' && line[1] == ' ') {
-      d = ParseDelta(line.substr(2), error);
-    }
-    if (!d.has_value()) {
-      Fail(error, "bad pending line: " + line);
-      return std::nullopt;
-    }
-    state.pending.push_back(*d);
   }
   return state;
 }

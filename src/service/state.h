@@ -4,9 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "market/labor_market.h"
@@ -65,8 +65,8 @@ struct ServiceState {
   std::uint64_t reference_bits = 0;
 
   /// Index of the entity with stable id `id`, or npos. Linear scan: it
-  /// serves per-delta application and snapshot parsing; the epoch path
-  /// maps ids through a sorted index built once per epoch instead.
+  /// serves per-delta application; the epoch path and the snapshot parser
+  /// map ids through sorted indexes built once per pass instead.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t WorkerIndex(std::uint64_t id) const;
   std::size_t TaskIndex(std::uint64_t id) const;
@@ -106,12 +106,13 @@ LaborMarket BuildMarket(const ServiceState& state,
 ///   d <delta line>
 std::string SerializeServiceState(const ServiceState& state);
 
-/// Parses a serialized state, hardened like market_io's readers: section
-/// counts are overflow-proof and capped before any pre-allocation,
-/// numerics must be finite and in range (via ValidateDelta-equivalent
-/// checks), duplicate stable ids and dangling pair endpoints are
-/// rejected. Returns std::nullopt and fills `error` on the first problem.
-std::optional<ServiceState> ParseServiceState(std::istream& in,
+/// Parses a serialized state through the line grammar of io/text_codec.h,
+/// hardened like market_io's readers: section counts are overflow-proof
+/// and capped before any pre-allocation, entity fields pass ValidWorker /
+/// ValidTask, duplicate stable ids and dangling pair endpoints are
+/// rejected (one sorted-id pass per section). Returns std::nullopt and
+/// fills `error` on the first problem.
+std::optional<ServiceState> ParseServiceState(std::string_view text,
                                               std::string* error = nullptr);
 
 /// CRC-32 of SerializeServiceState(state) — the state checksum embedded

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "io/text_codec.h"
 #include "util/crc32.h"
 #include "util/fault_injector.h"
 
@@ -16,10 +17,6 @@ constexpr std::size_t kFrameHeaderSize = 8;  // u32 len + u32 crc
 /// kEpoch payload body: u64 epoch, u8 mode, u32 num_deltas, u64
 /// value_bits, u32 state_crc.
 constexpr std::size_t kEpochBodySize = 8 + 1 + 4 + 8 + 4;
-
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-}
 
 void PutU32(std::uint32_t v, std::string* out) {
   for (int i = 0; i < 4; ++i) {

@@ -167,11 +167,11 @@ TEST(FaultPointsTest, IoReadKillsMarketReaderAtExactLine) {
   faults.Arm("io/read", /*fire_at_hit=*/3);
   std::istringstream in(out.str());
   std::string error;
-  EXPECT_THROW(ReadMarket(in, &error, &faults), FaultInjectedError);
+  EXPECT_THROW(ReadMarket(in.str(), &error, &faults), FaultInjectedError);
 
   // With no injector the same bytes parse fine.
   std::istringstream in2(out.str());
-  EXPECT_TRUE(ReadMarket(in2, &error).has_value()) << error;
+  EXPECT_TRUE(ReadMarket(in2.str(), &error).has_value()) << error;
 }
 
 TEST(FaultPointsTest, IoReadKillsAssignmentReader) {
@@ -186,7 +186,7 @@ TEST(FaultPointsTest, IoReadKillsAssignmentReader) {
   faults.Arm("io/read");
   std::istringstream in(out.str());
   std::string error;
-  EXPECT_THROW(ReadAssignment(market, in, &error, &faults),
+  EXPECT_THROW(ReadAssignment(market, in.str(), &error, &faults),
                FaultInjectedError);
 }
 

@@ -47,7 +47,7 @@ std::string JoinLines(const std::vector<std::string>& lines) {
 void ExpectNoCrash(const std::string& text) {
   std::stringstream in(text);
   std::string error;
-  const auto market = ReadMarket(in, &error);
+  const auto market = ReadMarket(in.str(), &error);
   if (!market.has_value()) {
     EXPECT_FALSE(error.empty()) << "failure without an error message";
   }
@@ -124,7 +124,7 @@ TEST(IoFuzzTest, AssignmentParserSurvivesGarbage) {
     }
     std::stringstream in(mutated);
     std::string error;
-    const auto parsed = ReadAssignment(m, in, &error);
+    const auto parsed = ReadAssignment(m, in.str(), &error);
     if (!parsed.has_value()) {
       EXPECT_FALSE(error.empty());
     }
@@ -136,7 +136,7 @@ TEST(IoFuzzTest, HugeDeclaredCountsFailGracefully) {
   // before any per-entity loop or speculative allocation runs.
   std::stringstream in("mbta-market v1\nname x\nworkers 1000000000\n");
   std::string error;
-  EXPECT_FALSE(ReadMarket(in, &error).has_value());
+  EXPECT_FALSE(ReadMarket(in.str(), &error).has_value());
   EXPECT_NE(error.find("implausible"), std::string::npos);
 }
 
@@ -149,7 +149,7 @@ TEST(IoFuzzTest, HugeDeclaredCountsFailGracefully) {
 void ExpectRejected(const std::string& text) {
   std::stringstream in(text);
   std::string error;
-  EXPECT_FALSE(ReadMarket(in, &error).has_value())
+  EXPECT_FALSE(ReadMarket(in.str(), &error).has_value())
       << "hostile input accepted:\n" << text;
   EXPECT_FALSE(error.empty());
 }
@@ -220,7 +220,7 @@ TEST(IoHostileNumericsTest, AssignmentOverflowingCountIsRejected) {
   std::stringstream in(
       "mbta-assignment v1\npairs 99999999999999999999\n");
   std::string error;
-  EXPECT_FALSE(ReadAssignment(m, in, &error).has_value());
+  EXPECT_FALSE(ReadAssignment(m, in.str(), &error).has_value());
   EXPECT_FALSE(error.empty());
 }
 
@@ -228,7 +228,7 @@ TEST(IoHostileNumericsTest, ValidFileStillParsesAfterHardening) {
   // Canary: the hardened reader still accepts a round-tripped market.
   std::stringstream in(ValidMarketText());
   std::string error;
-  EXPECT_TRUE(ReadMarket(in, &error).has_value()) << error;
+  EXPECT_TRUE(ReadMarket(in.str(), &error).has_value()) << error;
 }
 
 }  // namespace

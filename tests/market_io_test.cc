@@ -1,6 +1,10 @@
 #include "io/market_io.h"
 
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,7 +49,7 @@ TEST(MarketIoTest, RoundTripHandBuiltMarket) {
   std::stringstream buffer;
   WriteMarket(m, buffer);
   std::string error;
-  const auto parsed = ReadMarket(buffer, &error);
+  const auto parsed = ReadMarket(buffer.str(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   ExpectMarketsEqual(m, *parsed);
 }
@@ -56,7 +60,7 @@ TEST(MarketIoTest, RoundTripGeneratedMarketsWithSkills) {
     std::stringstream buffer;
     WriteMarket(m, buffer);
     std::string error;
-    const auto parsed = ReadMarket(buffer, &error);
+    const auto parsed = ReadMarket(buffer.str(), &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     ExpectMarketsEqual(m, *parsed);
   }
@@ -67,7 +71,7 @@ TEST(MarketIoTest, RoundTripEmptyMarket) {
   std::stringstream buffer;
   WriteMarket(m, buffer);
   std::string error;
-  const auto parsed = ReadMarket(buffer, &error);
+  const auto parsed = ReadMarket(buffer.str(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->NumWorkers(), 0u);
   EXPECT_EQ(parsed->NumEdges(), 0u);
@@ -79,13 +83,13 @@ TEST(MarketIoTest, CommentsAndBlankLinesIgnored) {
   buffer << "# leading comment\n\n";
   WriteMarket(m, buffer);
   std::string error;
-  EXPECT_TRUE(ReadMarket(buffer, &error).has_value()) << error;
+  EXPECT_TRUE(ReadMarket(buffer.str(), &error).has_value()) << error;
 }
 
 TEST(MarketIoTest, RejectsBadHeader) {
   std::stringstream buffer("not-a-market v9\n");
   std::string error;
-  EXPECT_FALSE(ReadMarket(buffer, &error).has_value());
+  EXPECT_FALSE(ReadMarket(buffer.str(), &error).has_value());
   EXPECT_NE(error.find("header"), std::string::npos);
 }
 
@@ -93,7 +97,7 @@ TEST(MarketIoTest, RejectsTruncatedWorkerSection) {
   std::stringstream buffer(
       "mbta-market v1\nname x\nworkers 2\nw 1 0 1 0.8\n");
   std::string error;
-  EXPECT_FALSE(ReadMarket(buffer, &error).has_value());
+  EXPECT_FALSE(ReadMarket(buffer.str(), &error).has_value());
   EXPECT_NE(error.find("truncated"), std::string::npos);
 }
 
@@ -102,7 +106,7 @@ TEST(MarketIoTest, RejectsOutOfRangeEdgeEndpoint) {
       "mbta-market v1\nname x\nworkers 1\nw 1 0 1 0.8\ntasks 1\n"
       "t 1 1 1 0 0\nedges 1\ne 0 5 0.8 1.0\n");
   std::string error;
-  EXPECT_FALSE(ReadMarket(buffer, &error).has_value());
+  EXPECT_FALSE(ReadMarket(buffer.str(), &error).has_value());
   EXPECT_NE(error.find("bad edge"), std::string::npos);
 }
 
@@ -112,7 +116,92 @@ TEST(MarketIoTest, RejectsInvalidAttributeRanges) {
       "mbta-market v1\nname x\nworkers 1\nw 1 0 1.5 0.8\ntasks 0\n"
       "edges 0\n");
   std::string error;
-  EXPECT_FALSE(ReadMarket(buffer, &error).has_value());
+  EXPECT_FALSE(ReadMarket(buffer.str(), &error).has_value());
+}
+
+// A two-worker, two-task market whose line `index` (0-based, counting
+// every line) is replaced by `line`.
+std::string MarketWithLine(std::size_t index, const std::string& line) {
+  std::vector<std::string> lines = {
+      "mbta-market v1", "name x",        "workers 2",
+      "w 2 0.1 1 0.8",  "w 1 0 1 0.9",   "tasks 2",
+      "t 2 1 1 0 0",    "t 1 1 2 0.5 0", "edges 2",
+      "e 0 0 0.8 1",    "e 1 1 0.7 0.5"};
+  lines.at(index) = line;
+  std::string text;
+  for (const std::string& l : lines) text += l + "\n";
+  return text;
+}
+
+TEST(MarketIoTest, FractionalIntegerFieldsAreRejected) {
+  // The old reader split "3.5" into 3 and ".5" and shifted every later
+  // field by one, so each of these loaded as some other market.
+  struct Case {
+    std::size_t line;
+    const char* text;
+    const char* error;
+  };
+  for (const Case& c : {Case{3, "w 3.5 1 0.5 0.5", "bad worker line"},
+                        Case{6, "t 1.5 0.5 1 0.5 0", "bad task line"},
+                        Case{9, "e 0 1.5 0.5 0.5", "bad edge line"}}) {
+    std::string error;
+    EXPECT_FALSE(
+        ReadMarket(MarketWithLine(c.line, c.text), &error)
+            .has_value())
+        << c.text;
+    EXPECT_NE(error.find(c.error), std::string::npos) << error;
+  }
+}
+
+TEST(MarketIoTest, MinusInUnsignedFieldsIsRejected) {
+  // The old reader wrapped "-1" to 4294967295 in the requester field and
+  // read "-0" as worker 0.
+  for (const std::string& text :
+       {MarketWithLine(7, "t 1 1 2 0.5 -1"),
+        MarketWithLine(10, "e -0 1 0.7 0.5")}) {
+    std::string error;
+    EXPECT_FALSE(ReadMarket(text, &error).has_value())
+        << text;
+    EXPECT_NE(error.find("bad"), std::string::npos) << error;
+  }
+}
+
+TEST(MarketIoTest, DuplicateEdgeQuotesTheFirstRepeatingLine) {
+  // The repeat of (1, 1) comes before a malformed line: the duplicate is
+  // reported, at its own line.
+  const std::string text =
+      "mbta-market v1\nname x\nworkers 2\nw 2 0.1 1 0.8\nw 1 0 1 0.9\n"
+      "tasks 2\nt 2 1 1 0 0\nt 1 1 2 0.5 0\nedges 4\ne 1 1 0.7 0.5\n"
+      "e 0 0 0.8 1\ne 1 1 0.1 0.1\ne 0 1 x 1\n";
+  std::string error;
+  EXPECT_FALSE(ReadMarket(text, &error).has_value());
+  EXPECT_EQ(error, "duplicate edge: e 1 1 0.1 0.1");
+}
+
+TEST(MarketIoTest, LinesAreTrimmedAndAnEmptyNameRoundTrips) {
+  const LaborMarket m = MakeTestMarket({1}, {1}, {{0, 0, 0.8, 1.0}});
+  LaborMarketBuilder b;
+  b.SetName("");
+  b.AddWorker(m.worker(0));
+  b.AddTask(m.task(0));
+  b.AddEdge(0, 0, EdgeAttributes{0.8, 1.0});
+  const LaborMarket unnamed = b.Build();
+  std::stringstream buffer;
+  WriteMarket(unnamed, buffer);
+  const std::string text = buffer.str();
+  std::string error;
+  const auto parsed = ReadMarket(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->name(), "");
+  // CRLF line ends and trailing tabs read the same market.
+  std::string indented;
+  for (char c : text) {
+    indented += c;
+    if (c == '\n') indented.insert(indented.size() - 1, "\r\t");
+  }
+  const auto again = ReadMarket(indented, &error);
+  ASSERT_TRUE(again.has_value()) << error;
+  ExpectMarketsEqual(*parsed, *again);
 }
 
 TEST(MarketIoTest, FileRoundTrip) {
@@ -139,7 +228,7 @@ TEST(AssignmentIoTest, RoundTripSolvedAssignment) {
   std::stringstream buffer;
   WriteAssignment(m, a, buffer);
   std::string error;
-  const auto parsed = ReadAssignment(m, buffer, &error);
+  const auto parsed = ReadAssignment(m, buffer.str(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   std::vector<EdgeId> original = a.edges, round_tripped = parsed->edges;
   std::sort(original.begin(), original.end());
@@ -152,7 +241,7 @@ TEST(AssignmentIoTest, RejectsNonEdgePair) {
                                        {{0, 0, 0.8, 1.0}});
   std::stringstream buffer("mbta-assignment v1\npairs 1\na 1 1\n");
   std::string error;
-  EXPECT_FALSE(ReadAssignment(m, buffer, &error).has_value());
+  EXPECT_FALSE(ReadAssignment(m, buffer.str(), &error).has_value());
   EXPECT_NE(error.find("not an eligible edge"), std::string::npos);
 }
 
@@ -162,15 +251,29 @@ TEST(AssignmentIoTest, RejectsInfeasibleAssignment) {
   // Worker capacity 1 but two pairs.
   std::stringstream buffer("mbta-assignment v1\npairs 2\na 0 0\na 0 1\n");
   std::string error;
-  EXPECT_FALSE(ReadAssignment(m, buffer, &error).has_value());
+  EXPECT_FALSE(ReadAssignment(m, buffer.str(), &error).has_value());
   EXPECT_NE(error.find("violates"), std::string::npos);
+}
+
+TEST(AssignmentIoTest, FractionalAndNegativePairFieldsAreRejected) {
+  // The old reader took "0 1.5" as the pair (0, 1) and ignored ".5".
+  const LaborMarket m = MakeTestMarket(
+      {2, 1}, {1, 3}, {{0, 0, 0.8, 1.25}, {0, 1, 0.6, 1.0}, {1, 1, 0.65, 0.5}},
+      {2.0, 5.0});
+  for (const char* line : {"a 0 1.5", "a 0.5 1", "a -0 1", "a 0 1 1"}) {
+    const std::string text =
+        std::string("mbta-assignment v1\npairs 1\n") + line + "\n";
+    std::string error;
+    EXPECT_FALSE(ReadAssignment(m, text, &error).has_value()) << line;
+    EXPECT_NE(error.find("bad pair line"), std::string::npos) << error;
+  }
 }
 
 TEST(AssignmentIoTest, RejectsDuplicatePair) {
   const LaborMarket m = MakeTestMarket({2}, {2}, {{0, 0, 0.8, 1.0}});
   std::stringstream buffer("mbta-assignment v1\npairs 2\na 0 0\na 0 0\n");
   std::string error;
-  EXPECT_FALSE(ReadAssignment(m, buffer, &error).has_value());
+  EXPECT_FALSE(ReadAssignment(m, buffer.str(), &error).has_value());
 }
 
 }  // namespace

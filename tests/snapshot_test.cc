@@ -2,8 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -141,12 +141,63 @@ TEST(SnapshotTest, DanglingPairIsRejected) {
 
 TEST(SnapshotTest, SerializeParseRoundTripsPendingDeltas) {
   const ServiceState state = MakeState();
-  std::istringstream in(SerializeServiceState(state));
   std::string error;
-  const auto parsed = ParseServiceState(in, &error);
+  const auto parsed = ParseServiceState(SerializeServiceState(state), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   ASSERT_EQ(parsed->pending.size(), 1u);
   EXPECT_TRUE(parsed->pending.front() == state.pending.front());
+}
+
+/// MakeState's body with the first line starting `from` replaced by `to`.
+std::string BodyWith(const std::string& from, const std::string& to) {
+  std::string body = SerializeServiceState(MakeState());
+  const std::size_t at = body.find("\n" + from) + 1;
+  EXPECT_NE(at, 0u) << from;
+  return body.replace(at, body.find('\n', at) - at, to);
+}
+
+TEST(SnapshotTest, FractionalIntegerFieldsAreRejected) {
+  // Worker 10 holds capacity 2 and task 5 capacity 1: the old parser
+  // read "2.5" as 2 and shifted every later field, and read the pair
+  // "10 5.0" as (10, 5) before the junk check caught ".0".
+  for (const auto& [from, to, why] :
+       {std::tuple<std::string, std::string, std::string>{
+            "w 10 ", "w 10 2.5 0.125 1 0.75 0.1 0.9", "bad worker line"},
+        {"t 5 ", "t 5 1.5 0.33 0.5 0 5 0.2 0.8", "bad task line"},
+        {"a 10 5", "a 10 5.0", "bad pair line"}}) {
+    std::string error;
+    EXPECT_FALSE(ParseServiceState(BodyWith(from, to), &error).has_value())
+        << to;
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  }
+}
+
+TEST(SnapshotTest, MinusInAnUnsignedPairEndpointIsRejected) {
+  // With a worker whose id is 2^64 - 1, the old parser resolved "a -1 5"
+  // to that worker and accepted the pair.
+  ServiceState state = MakeState();
+  state.workers[1].id = 18446744073709551615ull;
+  state.pairs = {{10, 5}};
+  std::string body = SerializeServiceState(state);
+  const std::size_t at = body.find("a 10 5");
+  body.replace(at, 6, "a -1 5");
+  std::string error;
+  EXPECT_FALSE(ParseServiceState(body, &error).has_value());
+  EXPECT_EQ(error, "bad pair line: a -1 5");
+}
+
+TEST(SnapshotTest, RepeatedIdIsReportedAheadOfALaterBadLine) {
+  ServiceState state = MakeState();
+  StableWorker extra = state.workers[0];
+  state.workers.push_back(extra);  // id 10 again
+  state.workers.push_back(extra);
+  std::string body = SerializeServiceState(state);
+  // Break the last worker line: the repeat on the line before still wins.
+  const std::size_t last = body.rfind("\nw 10 ") + 1;
+  body.replace(last, 4, "w 1x");
+  std::string error;
+  EXPECT_FALSE(ParseServiceState(body, &error).has_value());
+  EXPECT_EQ(error, "duplicate worker id: 10");
 }
 
 }  // namespace

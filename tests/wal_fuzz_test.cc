@@ -6,7 +6,6 @@
 // over-allocate, fail with a message — mirroring market_io_fuzz_test.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -267,8 +266,7 @@ TEST(WalFuzzTest, MutatedSnapshotBodiesParseToCanonicalStatesOrFail) {
       // Anything accepted must be canonical: serialize → parse is the
       // identity, byte for byte.
       const std::string round = SerializeServiceState(*state);
-      std::istringstream in(round);
-      const auto again = ParseServiceState(in, &error);
+      const auto again = ParseServiceState(round, &error);
       ASSERT_TRUE(again.has_value()) << "seed " << seed << ": " << error;
       EXPECT_EQ(SerializeServiceState(*again), round) << "seed " << seed;
     } else {
@@ -311,6 +309,46 @@ TEST(WalFuzzTest, HostileDeltaLinesAreRejected) {
     EXPECT_FALSE(ParseDelta(line, &error).has_value()) << "accepted: " << line;
     EXPECT_FALSE(error.empty()) << line;
   }
+}
+
+TEST(WalFuzzTest, FractionalIntegerDeltaFieldsAreRejected) {
+  // The old parser split "2.5" into 2 and ".5": this add-task loaded as
+  // "t 7 2 0.5 1 1 0 0.5 0 1", every field after the capacity shifted.
+  for (const std::string& line :
+       {std::string("add-task 7 2.5 1 1 0.5 0 1"),
+        std::string("add-worker 9 2.5 0.1 0.9 0.8"),
+        std::string("add-task 7 2 1 1 0.5 0.5 1"),
+        std::string("worker-capacity 5 2.5"),
+        std::string("task-capacity 5 1e0")}) {
+    std::string error;
+    EXPECT_FALSE(ParseDelta(line, &error).has_value()) << "accepted: " << line;
+    EXPECT_EQ(error, "bad delta line: " + line);
+    std::string script_error;
+    EXPECT_FALSE(ParseDeltaScript(line + "\n",
+                                  &script_error)
+                     .has_value())
+        << line;
+    EXPECT_EQ(script_error, "line 1: bad delta line: " + line);
+  }
+}
+
+TEST(WalFuzzTest, MinusInUnsignedDeltaFieldsIsRejected) {
+  // The old parser wrapped "-1" to id 18446744073709551615, so this
+  // script admitted a worker and then removed it.
+  for (const std::string& line :
+       {std::string("add-worker -1 1 0 1 1"), std::string("rm-worker -1"),
+        std::string("rm-task -0"), std::string("add-task 8 1 1 1 0.5 -2")}) {
+    std::string error;
+    EXPECT_FALSE(ParseDelta(line, &error).has_value()) << "accepted: " << line;
+    EXPECT_EQ(error, "bad delta line: " + line);
+  }
+  std::string error;
+  EXPECT_FALSE(
+      ParseDeltaScript("add-worker -1 1 0 1 1\nepoch\n"
+                                        "rm-worker -1\nepoch\n",
+                       &error)
+          .has_value());
+  EXPECT_EQ(error, "line 1: bad delta line: add-worker -1 1 0 1 1");
 }
 
 }  // namespace
