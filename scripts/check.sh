@@ -5,10 +5,10 @@
 # the obs tests AND the robustness + service suites (deadline /
 # fault-injection / fallback / cancellation plus WAL / snapshot / crash
 # recovery, `ctest -L 'robustness|service'`) under TSan
-# (-DMBTA_SANITIZE=thread). The TSan leg exercises the library's only
-# cross-thread surfaces: cancellation from a watchdog thread and the
-# Tracer's thread registration and flight ring. A CLI smoke step checks
-# the mbta_cli exit-code taxonomy (0 ok / 1 usage / 2 bad input / 3
+# (-DMBTA_SANITIZE=thread). The TSan leg proves the cancel flag (set
+# from a watchdog thread, the library's one cross-thread surface) and
+# the obs registries merged after join() race-free. A CLI smoke step
+# checks the mbta_cli exit-code taxonomy (0 ok / 1 usage / 2 bad input / 3
 # degraded) end-to-end against the plain build, a bench gate diffs a
 # fresh smoke-suite run's counters against the committed BENCH_ci.json,
 # and a trace gate asserts traces are sequence-identical across runs
@@ -241,12 +241,12 @@ fi
 
 # TSan leg: the obs and trace tests plus the robustness and service
 # suites. The cancellation tests stop a running solve from a watchdog
-# thread and the trace tests register concurrent threads with one
-# Tracer — the library's only cross-thread surfaces — so TSan proves
-# them race-free. Building targets directly keeps this leg
-# minutes-cheap; `ctest -L robustness` only matches tests whose
-# binaries were built (unbuilt targets surface as unlabeled NOT_BUILT
-# placeholders and are skipped by the label filter).
+# thread — the library's one cross-thread surface — and obs_test merges
+# per-thread registries after join(), so TSan proves both race-free.
+# Building targets directly keeps this leg minutes-cheap; `ctest -L
+# robustness` only matches tests whose binaries were built (unbuilt
+# targets surface as unlabeled NOT_BUILT placeholders and are skipped by
+# the label filter).
 if require_sanitizer thread; then
   echo "=== build-tsan (MBTA_SANITIZE='thread') ==="
   cmake -B build-tsan -S . -DMBTA_SANITIZE=thread >/dev/null

@@ -82,46 +82,30 @@ Assignment FallbackSolver::Solve(const MbtaProblem& problem,
       SolveStats stage_stats;
       // Thread the chain's tracer into the stage: the stage's own
       // ScopedPhase scopes then emit spans on the same timeline, nested
-      // under this chain's "fallback"/"stage_N" spans (span depth is a
-      // per-track property of the tracer, not of any one PhaseTimings).
+      // under this chain's "fallback"/"stage_N" spans (span depth belongs
+      // to the tracer, not to any one PhaseTimings).
       stage_stats.phases.set_tracer(tracer);
-      try {
+      Assignment result;
+      bool faulted = false;
+      {
         ScopedPhase stage_phase(phases, stage_label);
-        const Assignment result = stages_[s].solver->Solve(
-            problem, stage_options, &stage_stats);
+        try {
+          result = stages_[s].solver->Solve(problem, stage_options,
+                                            &stage_stats);
+        } catch (const FaultInjectedError&) {
+          faulted = true;
+        }
         if (info != nullptr) {
-          info->gain_evaluations += stage_stats.gain_evaluations;
-          info->counters.Merge(stage_stats.counters);
-          info->phases.Merge(stage_stats.phases);
-          info->histograms.Merge(stage_stats.histograms);
-          // A stage that degraded snapshotted its own flight recorder
-          // (PublishBudgetOutcome); surface the first such snapshot.
-          if (info->flight.empty() && !stage_stats.flight.empty()) {
-            info->flight = stage_stats.flight;
-          }
-        }
-        const double value = objective.Value(result);
-        if (value > best_value) {
-          best = result;
-          best_value = value;
-        }
-        if (stage_stats.stop_reason == StopReason::kCancelled) {
-          cancelled = true;
-        } else if (!stage_stats.deadline_hit) {
-          completed = true;
-        } else {
-          chain_reason = stage_stats.stop_reason;
-        }
-        break;  // stage attempt resolved (no transient fault)
-      } catch (const FaultInjectedError&) {
-        if (info != nullptr) {
-          // Keep whatever instrumentation the dead attempt accumulated:
-          // the phase record of a killed stage is exactly what an
-          // incident investigation wants to see.
+          // Keep whatever instrumentation the attempt accumulated, a
+          // killed one too: the phase record of a killed stage is exactly
+          // what an incident investigation wants to see. The stage's
+          // phases land under "fallback/stage_N/", the open chain.
           info->counters.Merge(stage_stats.counters);
           info->phases.Merge(stage_stats.phases);
           info->histograms.Merge(stage_stats.histograms);
         }
+      }
+      if (faulted) {
         if (attempts_left > 0) {
           ++retries;
           // A retry is a degradation event: mark it on the timeline and
@@ -136,8 +120,29 @@ Assignment FallbackSolver::Solve(const MbtaProblem& problem,
                                       chain_options_.retry_budget_factor);
           continue;
         }
-        // Retries exhausted: give up on this stage, downgrade.
+        break;  // retries exhausted: give up on this stage, downgrade
       }
+      if (info != nullptr) {
+        info->gain_evaluations += stage_stats.gain_evaluations;
+        // A stage that degraded snapshotted its own flight recorder
+        // (PublishBudgetOutcome); surface the first such snapshot.
+        if (info->flight.empty() && !stage_stats.flight.empty()) {
+          info->flight = stage_stats.flight;
+        }
+      }
+      const double value = objective.Value(result);
+      if (value > best_value) {
+        best = result;
+        best_value = value;
+      }
+      if (stage_stats.stop_reason == StopReason::kCancelled) {
+        cancelled = true;
+      } else if (!stage_stats.deadline_hit) {
+        completed = true;
+      } else {
+        chain_reason = stage_stats.stop_reason;
+      }
+      break;  // stage attempt resolved (no transient fault)
     }
     if (completed || cancelled) break;
     if (s + 1 < stages_.size()) ++transitions;

@@ -68,17 +68,6 @@ std::vector<double> ExponentialBoundaries(double first, double factor,
   return boundaries;
 }
 
-std::vector<double> LinearBoundaries(double first, double step,
-                                     std::size_t count) {
-  MBTA_CHECK(step > 0.0);
-  std::vector<double> boundaries;
-  boundaries.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    boundaries.push_back(first + step * static_cast<double>(i));
-  }
-  return boundaries;
-}
-
 std::vector<double> GainBoundaries() {
   return ExponentialBoundaries(1e-4, 4.0, 16);
 }

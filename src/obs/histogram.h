@@ -67,10 +67,6 @@ class Histogram {
 std::vector<double> ExponentialBoundaries(double first, double factor,
                                           std::size_t count);
 
-/// Arithmetic boundary ladder: first, first+step, ... (`count` boundaries).
-std::vector<double> LinearBoundaries(double first, double step,
-                                     std::size_t count);
-
 /// Standard boundary sets, shared by every solver that publishes the
 /// corresponding histogram so rows stay comparable across solvers:
 ///  * GainBoundaries        — committed marginal gains ("greedy/gain"):

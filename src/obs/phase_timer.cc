@@ -23,14 +23,11 @@ void PhaseTimings::Clear() {
 
 void PhaseTimings::Merge(const PhaseTimings& other) {
   if (this == &other) return;
+  const std::string prefix = stack_.empty() ? std::string() : stack_ + '/';
   for (const auto& [path, entry] : other.entries_) {
-    auto it = entries_.find(path);
-    if (it == entries_.end()) {
-      entries_.emplace(path, entry);
-    } else {
-      it->second.total_ms += entry.total_ms;
-      it->second.calls += entry.calls;
-    }
+    Entry& mine = entries_[prefix + path];
+    mine.total_ms += entry.total_ms;
+    mine.calls += entry.calls;
   }
 }
 

@@ -37,7 +37,9 @@ class PhaseTimings {
     return entries_;
   }
 
-  /// Accumulates every entry of `other` into this object. The tracer
+  /// Accumulates every entry of `other` into this object, nested under
+  /// the currently open phase chain: with "fallback/stage_0" open,
+  /// `other`'s "flow" lands at "fallback/stage_0/flow". The tracer
   /// binding is not merged: phase *data* rolls up, the trace stream does not.
   void Merge(const PhaseTimings& other);
 

@@ -2,149 +2,85 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "obs/json_writer.h"
-#include "util/check.h"
 
 namespace mbta {
 
-namespace {
-
-/// Thread → tracer binding. A thread may outlive a tracer (or bind to a
-/// sequence of tracers across solves), so every emission checks that the
-/// binding still refers to *this* tracer before trusting the cached
-/// track pointer.
-struct TlsBinding {
-  const Tracer* tracer = nullptr;
-  void* track = nullptr;
-};
-thread_local TlsBinding tls_binding;
-
-}  // namespace
-
-Tracer::Tracer(std::size_t max_events_per_track, std::size_t flight_capacity)
+Tracer::Tracer(std::size_t max_events, std::size_t flight_capacity)
     : epoch_(Clock::now()),
-      max_events_per_track_(std::max<std::size_t>(1, max_events_per_track)),
-      flight_capacity_(std::max<std::size_t>(1, flight_capacity)) {
-  RegisterThread("main");
-}
+      max_events_(std::max<std::size_t>(1, max_events)),
+      flight_capacity_(std::max<std::size_t>(1, flight_capacity)) {}
 
-Tracer::~Tracer() {
-  // Leave a stale binding behind rather than touching other threads'
-  // TLS; emissions through it fail the `tracer == this` check.
-  if (tls_binding.tracer == this) tls_binding = TlsBinding{};
-}
-
-void Tracer::RegisterThread(std::string_view track_name) {
-  MutexLock lock(&mu_);
-  Track* track = nullptr;
-  for (const std::unique_ptr<Track>& t : tracks_) {
-    if (t->name == track_name) {
-      track = t.get();
-      break;
-    }
-  }
-  if (track == nullptr) {
-    tracks_.push_back(std::make_unique<Track>());
-    track = tracks_.back().get();
-    track->name = std::string(track_name);
-  }
-  tls_binding = {this, track};
-}
-
-Tracer::Track* Tracer::BoundTrack() {
-  if (tls_binding.tracer == this) {
-    return static_cast<Track*>(tls_binding.track);
-  }
-  MutexLock lock(&mu_);
-  ++unregistered_drops_;
-  return nullptr;
-}
-
-Tracer::SpanHandle Tracer::BeginSpan(std::string_view name,
-                                     std::string_view cat) {
-  Track* track = BoundTrack();
-  if (track == nullptr) return SpanHandle{};
-  if (track->events.size() >= max_events_per_track_) {
-    ++track->dropped;
-    return SpanHandle{};
+std::ptrdiff_t Tracer::Append(std::string_view name, std::string_view cat) {
+  if (events_.size() >= max_events_) {
+    ++dropped_;
+    return -1;
   }
   Event event;
   event.name = std::string(name);
   event.cat = std::string(cat);
-  event.id = track->next_id++;
-  event.depth = static_cast<int>(track->open.size());
+  event.depth = static_cast<int>(open_.size());
   event.ts_us = NowUs();
-  const std::size_t index = track->events.size();
-  track->events.push_back(std::move(event));
-  track->open.push_back(index);
-  return SpanHandle{track, static_cast<std::ptrdiff_t>(index)};
+  events_.push_back(std::move(event));
+  return static_cast<std::ptrdiff_t>(events_.size() - 1);
+}
+
+Tracer::SpanHandle Tracer::BeginSpan(std::string_view name,
+                                     std::string_view cat) {
+  const std::ptrdiff_t index = Append(name, cat);
+  if (index >= 0) open_.push_back(static_cast<std::size_t>(index));
+  return SpanHandle{index};
 }
 
 void Tracer::EndSpan(SpanHandle handle) {
   if (!handle.valid()) return;
-  Track* track = static_cast<Track*>(handle.track);
-  Event& event = track->events[static_cast<std::size_t>(handle.index)];
+  const auto index = static_cast<std::size_t>(handle.index);
+  Event& event = events_[index];
   event.dur_us = NowUs() - event.ts_us;
   // Close any deeper spans left open by mismatched scopes too; in
   // correct RAII usage the handle is exactly the innermost open span.
-  while (!track->open.empty() &&
-         track->open.back() >= static_cast<std::size_t>(handle.index)) {
-    track->open.pop_back();
-  }
-  PushFlight(*track, event);
+  while (!open_.empty() && open_.back() >= index) open_.pop_back();
+  PushFlight(event);
 }
 
 void Tracer::AddSpanArg(SpanHandle handle, std::string_view key,
                         std::int64_t value) {
   if (!handle.valid()) return;
-  Track* track = static_cast<Track*>(handle.track);
   SpanArg arg;
   arg.key = std::string(key);
   arg.int_value = value;
   arg.is_int = true;
-  track->events[static_cast<std::size_t>(handle.index)].args.push_back(
+  events_[static_cast<std::size_t>(handle.index)].args.push_back(
       std::move(arg));
 }
 
 void Tracer::AddSpanArg(SpanHandle handle, std::string_view key,
                         std::string_view value) {
   if (!handle.valid()) return;
-  Track* track = static_cast<Track*>(handle.track);
   SpanArg arg;
   arg.key = std::string(key);
   arg.string_value = std::string(value);
-  track->events[static_cast<std::size_t>(handle.index)].args.push_back(
+  events_[static_cast<std::size_t>(handle.index)].args.push_back(
       std::move(arg));
 }
 
 void Tracer::Instant(std::string_view name, std::string_view cat) {
-  Track* track = BoundTrack();
-  if (track == nullptr) return;
-  if (track->events.size() >= max_events_per_track_) {
-    ++track->dropped;
-    return;
-  }
-  Event event;
-  event.name = std::string(name);
-  event.cat = std::string(cat);
-  event.id = track->next_id++;
-  event.depth = static_cast<int>(track->open.size());
-  event.ts_us = NowUs();
+  const std::ptrdiff_t index = Append(name, cat);
+  if (index < 0) return;
+  Event& event = events_[static_cast<std::size_t>(index)];
   event.dur_us = 0.0;
   event.instant = true;
-  track->events.push_back(std::move(event));
-  PushFlight(*track, track->events.back());
+  PushFlight(event);
 }
 
-void Tracer::PushFlight(const Track& track, const Event& event) {
+void Tracer::PushFlight(const Event& event) {
   FlightEvent fe;
-  fe.track = track.name;
   fe.name = event.name;
   fe.depth = event.depth;
   fe.ts_us = event.ts_us;
   fe.dur_us = event.dur_us < 0.0 ? 0.0 : event.dur_us;
-  MutexLock lock(&flight_mu_);
   if (flight_.size() < flight_capacity_) {
     flight_.push_back(std::move(fe));
   } else {
@@ -157,7 +93,6 @@ void Tracer::PushFlight(const Track& track, const Event& event) {
 TraceSnapshot Tracer::SnapshotFlight(std::string_view trigger) const {
   TraceSnapshot snapshot;
   snapshot.trigger = std::string(trigger);
-  MutexLock lock(&flight_mu_);
   snapshot.total_events = flight_total_;
   snapshot.events.reserve(flight_.size());
   // flight_next_ is the oldest entry once the ring has wrapped.
@@ -168,131 +103,88 @@ TraceSnapshot Tracer::SnapshotFlight(std::string_view trigger) const {
   return snapshot;
 }
 
-std::uint64_t Tracer::dropped_events() const {
-  MutexLock lock(&mu_);
-  std::uint64_t dropped = unregistered_drops_;
-  for (const std::unique_ptr<Track>& t : tracks_) dropped += t->dropped;
-  return dropped;
-}
-
 std::string Tracer::ToJson() const {
-  MutexLock lock(&mu_);
-  // Deterministic tid assignment: "main" is always tid 1; the remaining
-  // tracks sort by (length, name) so numeric suffixes of different
-  // widths ("worker_2" vs "worker_10") still order numerically.
-  std::vector<const Track*> ordered;
-  ordered.reserve(tracks_.size());
-  for (const std::unique_ptr<Track>& t : tracks_) ordered.push_back(t.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Track* a, const Track* b) {
-              if ((a->name == "main") != (b->name == "main")) {
-                return a->name == "main";
-              }
-              if (a->name.size() != b->name.size()) {
-                return a->name.size() < b->name.size();
-              }
-              return a->name < b->name;
-            });
-
   JsonWriter w;
   w.BeginObject();
   w.Key("traceEvents");
   w.BeginArray();
-  w.BeginObject();
-  w.Key("name");
-  w.String("process_name");
-  w.Key("ph");
-  w.String("M");
-  w.Key("pid");
-  w.Number(1);
-  w.Key("tid");
-  w.Number(0);
-  w.Key("args");
-  w.BeginObject();
-  w.Key("name");
-  w.String("mbta");
-  w.EndObject();
-  w.EndObject();
-  for (std::size_t t = 0; t < ordered.size(); ++t) {
+  // Metadata events name the process (tid 0) and the one track (tid 1).
+  const auto metadata = [&w](std::string_view kind, std::uint64_t tid,
+                             std::string_view name) {
     w.BeginObject();
     w.Key("name");
-    w.String("thread_name");
+    w.String(kind);
     w.Key("ph");
     w.String("M");
     w.Key("pid");
     w.Number(1);
     w.Key("tid");
-    w.Number(static_cast<std::uint64_t>(t + 1));
+    w.Number(tid);
     w.Key("args");
     w.BeginObject();
     w.Key("name");
-    w.String(ordered[t]->name);
+    w.String(name);
     w.EndObject();
     w.EndObject();
-  }
-  for (std::size_t t = 0; t < ordered.size(); ++t) {
-    for (const Event& event : ordered[t]->events) {
+  };
+  metadata("process_name", 0, "mbta");
+  metadata("thread_name", 1, "main");
+  for (std::size_t id = 0; id < events_.size(); ++id) {
+    const Event& event = events_[id];
+    w.BeginObject();
+    w.Key("name");
+    w.String(event.name);
+    w.Key("cat");
+    w.String(event.cat);
+    w.Key("ph");
+    w.String(event.instant ? "i" : "X");
+    w.Key("ts");
+    w.Number(event.ts_us);
+    if (!event.instant) {
+      w.Key("dur");
+      w.Number(event.dur_us < 0.0 ? 0.0 : event.dur_us);
+    }
+    w.Key("pid");
+    w.Number(1);
+    w.Key("tid");
+    w.Number(1);
+    w.Key("id");
+    w.Number(static_cast<std::uint64_t>(id));
+    // Custom field (viewers ignore it): nesting depth at begin, which
+    // lets mbta_trace rebuild the span tree without trusting
+    // timestamps and lets --diff compare nesting with ts excluded.
+    w.Key("depth");
+    w.Number(event.depth);
+    if (event.instant) {
+      w.Key("s");
+      w.String("t");
+    }
+    if (!event.args.empty()) {
+      w.Key("args");
       w.BeginObject();
-      w.Key("name");
-      w.String(event.name);
-      w.Key("cat");
-      w.String(event.cat);
-      w.Key("ph");
-      w.String(event.instant ? "i" : "X");
-      w.Key("ts");
-      w.Number(event.ts_us);
-      if (!event.instant) {
-        w.Key("dur");
-        w.Number(event.dur_us < 0.0 ? 0.0 : event.dur_us);
-      }
-      w.Key("pid");
-      w.Number(1);
-      w.Key("tid");
-      w.Number(static_cast<std::uint64_t>(t + 1));
-      w.Key("id");
-      w.Number(event.id);
-      // Custom field (viewers ignore it): nesting depth at begin, which
-      // lets mbta_trace rebuild the span tree without trusting
-      // timestamps and lets --diff compare nesting with ts excluded.
-      w.Key("depth");
-      w.Number(event.depth);
-      if (event.instant) {
-        w.Key("s");
-        w.String("t");
-      }
-      if (!event.args.empty()) {
-        w.Key("args");
-        w.BeginObject();
-        for (const SpanArg& arg : event.args) {
-          w.Key(arg.key);
-          if (arg.is_int) {
-            w.Number(arg.int_value);
-          } else {
-            w.String(arg.string_value);
-          }
+      for (const SpanArg& arg : event.args) {
+        w.Key(arg.key);
+        if (arg.is_int) {
+          w.Number(arg.int_value);
+        } else {
+          w.String(arg.string_value);
         }
-        w.EndObject();
       }
       w.EndObject();
     }
+    w.EndObject();
   }
   w.EndArray();
   // Non-standard extras live beside traceEvents, where Chrome and
   // Perfetto tolerate (and ignore) them.
-  std::uint64_t dropped = unregistered_drops_;
-  std::uint64_t total = 0;
-  for (const Track* t : ordered) {
-    dropped += t->dropped;
-    total += t->events.size();
-  }
   w.Key("mbta");
   w.BeginObject();
   w.Key("tracks");
-  w.Number(static_cast<std::uint64_t>(ordered.size()));
+  w.Number(1);
   w.Key("events");
-  w.Number(total);
+  w.Number(static_cast<std::uint64_t>(events_.size()));
   w.Key("dropped_events");
-  w.Number(dropped);
+  w.Number(dropped_);
   w.EndObject();
   w.EndObject();
   return w.TakeString();

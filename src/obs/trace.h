@@ -4,21 +4,17 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/thread_annotations.h"
 
 namespace mbta {
 
 /// One flight-recorder entry: a compact copy of a finished span or
 /// instant, kept in the Tracer's bounded ring (see Tracer below).
 struct FlightEvent {
-  std::string track;   // track name, e.g. "main" or "watchdog"
   std::string name;    // span/instant name (slash-path grammar)
-  int depth = 0;       // nesting depth on its track at emission
+  int depth = 0;       // nesting depth at emission
   double ts_us = 0.0;  // start, microseconds since tracer construction
   double dur_us = 0.0;  // 0 for instants
 };
@@ -39,91 +35,72 @@ struct TraceSnapshot {
 
 /// Span/timeline recorder emitting Chrome trace-event JSON — the
 /// `{"traceEvents": [...]}` format that chrome://tracing and Perfetto
-/// open directly. Spans are complete events (`ph:"X"`), one track per
-/// registered thread, with deterministic per-track span ids.
+/// open directly. Spans are complete events (`ph:"X"`) on one track,
+/// "main", with deterministic sequential span ids.
 ///
-/// Threading model: each thread binds to one named *track* (find-or-
-/// create under an internal mutex via RegisterThread; the constructing
-/// thread is pre-registered as "main"). After binding, span emission
-/// touches only the calling thread's track — no locks, no atomics — so a
-/// span costs a couple of stores. Emissions from a thread never
-/// registered with this tracer are dropped and counted, never raced. Two
-/// *live* threads must not share a track; re-binding a track name from a
-/// new thread is fine once the previous thread has quiesced.
+/// Single-threaded, like CounterRegistry: the solvers and the service
+/// run on the caller's thread, and so does every emission. A span costs
+/// a couple of stores and one clock read.
 ///
-/// Determinism: span ids are per-track sequence numbers, track ids are
-/// assigned by sorted track name at write time, and events serialize in
-/// begin order per track — so the emitted event *sequence* (everything
-/// except the ts/dur fields) is byte-identical across runs whenever the
-/// span structure is deterministic. `tools/mbta_trace --diff` enforces
+/// Determinism: span ids are sequence numbers and events serialize in
+/// begin order, so the emitted event *sequence* (everything except the
+/// ts/dur fields) is byte-identical across runs whenever the span
+/// structure is deterministic. `tools/mbta_trace --diff` enforces
 /// exactly that in CI.
 ///
-/// The tracer also feeds a bounded in-memory ring of finished events
-/// (the "flight recorder", mutex-guarded since SnapshotFlight may run on
-/// another thread than the spans' owners); SnapshotFlight copies out the last `flight_capacity` events
-/// when a deadline/cancel/fallback trigger fires.
+/// The tracer also feeds a bounded ring of finished events (the "flight
+/// recorder"); SnapshotFlight copies out the last `flight_capacity`
+/// events when a deadline/cancel/fallback trigger fires.
 class Tracer {
  public:
-  static constexpr std::size_t kDefaultMaxEventsPerTrack = 1 << 16;
+  static constexpr std::size_t kDefaultMaxEvents = 1 << 16;
   static constexpr std::size_t kDefaultFlightCapacity = 128;
 
-  /// Registers the constructing thread as track "main" and starts the
-  /// trace clock. Tracks that reach `max_events_per_track` drop further
-  /// spans (counted in the emitted metadata) instead of growing without
-  /// bound.
-  explicit Tracer(std::size_t max_events_per_track = kDefaultMaxEventsPerTrack,
+  /// Starts the trace clock. Once `max_events` events are recorded,
+  /// further spans and instants are dropped (counted in the emitted
+  /// metadata) instead of growing without bound.
+  explicit Tracer(std::size_t max_events = kDefaultMaxEvents,
                   std::size_t flight_capacity = kDefaultFlightCapacity);
-  ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Binds the calling thread to the track named `track_name`
-  /// (slash-path grammar, e.g. "service/worker"), creating it on first
-  /// use. Idempotent per (thread, name); cheap after the first call.
-  void RegisterThread(std::string_view track_name);
-
-  /// Opaque handle to an open span. Valid until the matching EndSpan on
-  /// the same thread.
+  /// Opaque handle to an open span: its event index, or -1.
   struct SpanHandle {
-    void* track = nullptr;
     std::ptrdiff_t index = -1;
-    bool valid() const { return track != nullptr; }
+    bool valid() const { return index >= 0; }
   };
 
-  /// Opens a span on the calling thread's track. Returns an invalid
-  /// handle (all subsequent calls no-ops) when the thread is
-  /// unregistered or the track is full. Prefer ScopedSpan.
+  /// Opens a span. Returns an invalid handle (all subsequent calls
+  /// no-ops) when the event buffer is full. Prefer ScopedSpan.
   SpanHandle BeginSpan(std::string_view name, std::string_view cat);
   /// Closes `handle`, fixing the span's duration and feeding the flight
-  /// ring. Must run on the thread that opened it.
+  /// ring.
   void EndSpan(SpanHandle handle);
   /// Attaches an integer/string arg, rendered into the span's `args`
-  /// object. Call between BeginSpan and EndSpan, on the owning thread.
+  /// object. Call between BeginSpan and EndSpan.
   void AddSpanArg(SpanHandle handle, std::string_view key,
                   std::int64_t value);
   void AddSpanArg(SpanHandle handle, std::string_view key,
                   std::string_view value);
 
-  /// Emits a zero-duration instant event (`ph:"i"`) on the calling
-  /// thread's track, e.g. "fallback/retry".
+  /// Emits a zero-duration instant event (`ph:"i"`), e.g.
+  /// "fallback/retry".
   void Instant(std::string_view name, std::string_view cat);
 
-  /// Copies the flight ring (oldest first) under the ring mutex. Safe to
-  /// call from any thread, typically right after a budget expires.
+  /// Copies the flight ring, oldest first. The deadline and fallback
+  /// paths call it right after a budget expires.
   TraceSnapshot SnapshotFlight(std::string_view trigger) const;
 
   /// Serializes the whole trace as a Chrome trace-event JSON document.
-  /// Call after every traced thread has quiesced (post-join, post-solve).
   std::string ToJson() const;
 
   /// ToJson written to `path`. Returns false (and fills `error` when
   /// non-null) if the file cannot be written.
   bool WriteFile(const std::string& path, std::string* error = nullptr) const;
 
-  /// Spans dropped across all tracks (track buffer full) plus events
-  /// from unregistered threads. Quiescence required, like ToJson.
-  std::uint64_t dropped_events() const;
+  /// Spans and instants dropped because the event buffer was full.
+  std::uint64_t dropped_events() const { return dropped_; }
 
  private:
   struct SpanArg {
@@ -136,21 +113,11 @@ class Tracer {
   struct Event {
     std::string name;
     std::string cat;
-    std::uint64_t id = 0;     // per-track sequence number
     int depth = 0;            // nesting depth at begin
     double ts_us = 0.0;
     double dur_us = -1.0;     // -1 while the span is still open
     bool instant = false;
     std::vector<SpanArg> args;
-  };
-
-  /// Per-thread event buffer. Only the bound thread writes it.
-  struct Track {
-    std::string name;
-    std::vector<Event> events;
-    std::vector<std::size_t> open;  // indices of open spans, innermost last
-    std::uint64_t next_id = 0;
-    std::uint64_t dropped = 0;
   };
 
   // mbta-lint: taint-ok(span timestamps are trace-output-only; solver state never reads them)
@@ -161,25 +128,22 @@ class Tracer {
         .count();
   }
 
-  /// The calling thread's track, or nullptr when it never registered
-  /// with this tracer (the unregistered-drop counter is bumped).
-  Track* BoundTrack();
-  void PushFlight(const Track& track, const Event& event);
+  /// Appends a new event at the current depth and returns its index, or
+  /// -1 (counted as dropped) when the buffer is full.
+  std::ptrdiff_t Append(std::string_view name, std::string_view cat);
+  void PushFlight(const Event& event);
 
   const Clock::time_point epoch_;
-  const std::size_t max_events_per_track_;
+  const std::size_t max_events_;
   const std::size_t flight_capacity_;
 
-  mutable Mutex mu_;
-  /// unique_ptr for address stability: threads hold raw Track pointers
-  /// while registration appends.
-  std::vector<std::unique_ptr<Track>> tracks_ MBTA_GUARDED_BY(mu_);
-  std::uint64_t unregistered_drops_ MBTA_GUARDED_BY(mu_) = 0;
+  std::vector<Event> events_;
+  std::vector<std::size_t> open_;  // indices of open spans, innermost last
+  std::uint64_t dropped_ = 0;
 
-  mutable Mutex flight_mu_;
-  std::vector<FlightEvent> flight_ MBTA_GUARDED_BY(flight_mu_);  // ring
-  std::size_t flight_next_ MBTA_GUARDED_BY(flight_mu_) = 0;
-  std::uint64_t flight_total_ MBTA_GUARDED_BY(flight_mu_) = 0;
+  std::vector<FlightEvent> flight_;  // ring
+  std::size_t flight_next_ = 0;
+  std::uint64_t flight_total_ = 0;
 };
 
 /// RAII span, the tracing analogue of ScopedPhase:

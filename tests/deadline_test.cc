@@ -18,6 +18,7 @@
 #include "core/solver_registry.h"
 #include "core/validate.h"
 #include "gen/market_generator.h"
+#include "obs/trace.h"
 #include "tests/test_markets.h"
 #include "util/clock.h"
 #include "util/deadline.h"
@@ -173,6 +174,45 @@ TEST(PublishBudgetOutcomeTest, NullInfoIsSafe) {
   DeadlineGate gate(DeadlineBudget{.max_work = 0});
   gate.Charge();
   PublishBudgetOutcome(gate, nullptr);  // must not crash
+}
+
+// ---------------------------------------------------------------------------
+// SolveStats::flight: the flight-recorder snapshot of a degraded solve.
+// ---------------------------------------------------------------------------
+
+MbtaProblem FlightProblem(const LaborMarket& market) {
+  return MbtaProblem{&market,
+                     {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
+}
+
+TEST(SolveFlightTest, DeadlineSnapshotEndsWithTheBudgetInstant) {
+  const LaborMarket market = GenerateMarket(UniformConfig(25, 25, 31));
+  const MbtaProblem p = FlightProblem(market);
+  SolveOptions options;
+  options.budget.max_work = 3;
+  Tracer tracer;
+  SolveStats stats;
+  stats.phases.set_tracer(&tracer);
+  GreedySolver().Solve(p, options, &stats);
+
+  ASSERT_TRUE(stats.deadline_hit);
+  EXPECT_EQ(stats.flight.trigger, "deadline");
+  ASSERT_FALSE(stats.flight.events.empty());
+  EXPECT_EQ(stats.flight.events.back().name, "budget/deadline");
+  EXPECT_LE(stats.flight.events.size(), Tracer::kDefaultFlightCapacity);
+  EXPECT_GE(stats.flight.total_events, stats.flight.events.size());
+}
+
+TEST(SolveFlightTest, NoTracerLeavesFlightEmpty) {
+  const LaborMarket market = GenerateMarket(UniformConfig(25, 25, 31));
+  const MbtaProblem p = FlightProblem(market);
+  SolveOptions options;
+  options.budget.max_work = 3;
+  SolveStats stats;
+  GreedySolver().Solve(p, options, &stats);
+
+  EXPECT_TRUE(stats.deadline_hit);
+  EXPECT_TRUE(stats.flight.empty());
 }
 
 // ---------------------------------------------------------------------------

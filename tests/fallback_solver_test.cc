@@ -20,6 +20,7 @@
 #include "core/solver_registry.h"
 #include "core/validate.h"
 #include "gen/market_generator.h"
+#include "obs/trace.h"
 #include "tests/test_markets.h"
 #include "util/deadline.h"
 #include "util/fault_injector.h"
@@ -189,6 +190,46 @@ TEST(FallbackSolverTest, PhaseTimingsRecordEachStageAttempt) {
   EXPECT_TRUE(stats.phases.entries().count("fallback/stage_0"));
   EXPECT_TRUE(stats.phases.entries().count("fallback/stage_1"));
   EXPECT_TRUE(stats.phases.entries().count("fallback/stage_2"));
+}
+
+TEST(FallbackSolverTest, RetrySnapshotsTheFlightRecorder) {
+  const LaborMarket market = GenerateMarket(UniformConfig(25, 25, 23));
+  const MbtaProblem p = ModularProblem(market);
+  FaultInjector faults;
+  faults.Arm("flow/build_arc", /*fire_at_hit=*/0, /*fire_count=*/1);
+  SolveOptions options;
+  options.faults = &faults;
+
+  Tracer tracer;
+  SolveStats stats;
+  stats.phases.set_tracer(&tracer);
+  CreateFallbackChain(kStandardFallbackChain)->Solve(p, options, &stats);
+
+  EXPECT_EQ(stats.counters.Value("solve/fallback/retry"), 1u);
+  EXPECT_EQ(stats.flight.trigger, "fallback/retry");
+}
+
+TEST(FallbackSolverTest, StagePhasesNestUnderTheirStage) {
+  // The stage solvers' phases ("flow", "flow/augment", ...) belong under
+  // the stage that ran them, for a clean attempt and for a killed one
+  // alike; at the top level they would count their time twice.
+  const LaborMarket market = GenerateMarket(UniformConfig(25, 25, 23));
+  const MbtaProblem p = ModularProblem(market);
+  for (const bool inject : {false, true}) {
+    SCOPED_TRACE(inject ? "with a retried fault" : "clean");
+    FaultInjector faults;
+    if (inject) faults.Arm("flow/build_arc", /*fire_at_hit=*/0,
+                           /*fire_count=*/1);
+    SolveOptions options;
+    options.faults = &faults;
+    SolveStats stats;
+    CreateFallbackChain(kStandardFallbackChain)->Solve(p, options, &stats);
+
+    EXPECT_TRUE(stats.phases.entries().count("fallback/stage_0/flow"));
+    for (const auto& [path, entry] : stats.phases.entries()) {
+      EXPECT_EQ(path.rfind("fallback", 0), 0u) << path;
+    }
+  }
 }
 
 TEST(FallbackSolverTest, NumStagesAndName) {

@@ -124,12 +124,6 @@ TEST(Histogram, ExponentialBoundariesAreGeometric) {
   EXPECT_EQ(b, expected);
 }
 
-TEST(Histogram, LinearBoundariesAreArithmetic) {
-  const auto b = LinearBoundaries(0.5, 0.25, 3);
-  const std::vector<double> expected = {0.5, 0.75, 1.0};
-  EXPECT_EQ(b, expected);
-}
-
 TEST(Histogram, StandardLaddersAreStrictlyIncreasing) {
   for (const auto& boundaries :
        {GainBoundaries(), LatencyBoundariesMs()}) {

@@ -551,7 +551,7 @@ TEST(R8RawThreads, FiresOnJthreadAndAsync) {
 
 TEST(R8RawThreads, NoLibrarySubsystemIsExempt) {
   // No library file spawns threads, so util and obs get no exemption
-  // either: the Tracer guards cross-thread state, it does not spawn.
+  // either: the Tracer is single-threaded like the other obs registries.
   const std::string raw = "void f() { std::thread t([] {}); t.join(); }\n";
   EXPECT_TRUE(FiresOnce(LintAs("src/util/x.cc", raw), "R8", 1));
   EXPECT_TRUE(FiresOnce(LintAs("src/obs/x.cc", raw), "R8", 1));

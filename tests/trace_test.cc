@@ -1,17 +1,15 @@
-/// Tests for the Tracer: span nesting and depth bookkeeping, the flight
-/// recorder ring buffer, thread-track registration and the
-/// unregistered-thread drop path, and a JsonValue round-trip of the emitted Chrome trace-event JSON (the
+/// Tests for the Tracer: span nesting and depth bookkeeping, the event
+/// cap and its dropped count, the flight recorder ring buffer, and a
+/// JsonValue round-trip of the emitted Chrome trace-event JSON (the
 /// contract mbta_trace, Perfetto, and chrome://tracing all consume).
 
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/json_value.h"
@@ -99,7 +97,7 @@ TEST(Tracer, SpanIdsArePerTrackSequence) {
 }
 
 TEST(Tracer, FullTrackDropsAndCounts) {
-  Tracer tracer(/*max_events_per_track=*/2, /*flight_capacity=*/8);
+  Tracer tracer(/*max_events=*/2, /*flight_capacity=*/8);
   for (int i = 0; i < 5; ++i) tracer.Instant("tick", "t");
   EXPECT_EQ(tracer.dropped_events(), 3u);
   JsonValue doc;
@@ -111,7 +109,7 @@ TEST(Tracer, FullTrackDropsAndCounts) {
 }
 
 TEST(Tracer, FlightRingKeepsNewestEventsOldestFirst) {
-  Tracer tracer(Tracer::kDefaultMaxEventsPerTrack, /*flight_capacity=*/3);
+  Tracer tracer(Tracer::kDefaultMaxEvents, /*flight_capacity=*/3);
   for (int i = 0; i < 5; ++i) {
     tracer.Instant("tick_" + std::to_string(i), "t");
   }
@@ -125,7 +123,7 @@ TEST(Tracer, FlightRingKeepsNewestEventsOldestFirst) {
 }
 
 TEST(Tracer, FlightBeforeWraparoundIsOrdered) {
-  Tracer tracer(Tracer::kDefaultMaxEventsPerTrack, /*flight_capacity=*/8);
+  Tracer tracer(Tracer::kDefaultMaxEvents, /*flight_capacity=*/8);
   tracer.Instant("one", "t");
   tracer.Instant("two", "t");
   const TraceSnapshot snapshot = tracer.SnapshotFlight("early");
@@ -149,7 +147,6 @@ TEST(Tracer, FlightRecordsSpanEndsWithDepth) {
   EXPECT_EQ(snapshot.events[0].depth, 1);
   EXPECT_EQ(snapshot.events[1].name, "outer");
   EXPECT_EQ(snapshot.events[1].depth, 0);
-  EXPECT_EQ(snapshot.events[0].track, "main");
 }
 
 TEST(Tracer, JsonCarriesChromeTraceFields) {
@@ -165,7 +162,7 @@ TEST(Tracer, JsonCarriesChromeTraceFields) {
   std::string error;
   ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc, &error)) << error;
 
-  // Metadata: process_name + one thread_name per track.
+  // Metadata: process_name + the one thread_name.
   const auto metadata = EventsWithPhase(doc, "M");
   ASSERT_EQ(metadata.size(), 2u);
   EXPECT_EQ(std::string(metadata[0]->Find("name")->StringOr("")),
@@ -201,68 +198,6 @@ TEST(Tracer, JsonCarriesChromeTraceFields) {
   EXPECT_EQ(mbta->Find("tracks")->NumberOr(-1.0), 1.0);
   EXPECT_EQ(mbta->Find("events")->NumberOr(-1.0), 2.0);
   EXPECT_EQ(mbta->Find("dropped_events")->NumberOr(-1.0), 0.0);
-}
-
-TEST(Tracer, ThreadsRegisterNamedTracks) {
-  // Registration and the flight ring are the Tracer's cross-thread
-  // surfaces; these threads run concurrently, so the TSan build checks
-  // their locking.
-  Tracer tracer;
-  std::vector<std::thread> threads;
-  for (int i = 1; i <= 3; ++i) {
-    threads.emplace_back([&tracer, i] {
-      tracer.RegisterThread("worker/" + std::to_string(i));
-      ScopedSpan span(&tracer, "work/item", "test");
-      span.Arg("worker", static_cast<std::int64_t>(i));
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  JsonValue doc;
-  ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc));
-  const auto metadata = EventsWithPhase(doc, "M");
-  // process_name + main + 3 workers, tracks in name order.
-  ASSERT_EQ(metadata.size(), 5u);
-  std::vector<std::string> names;
-  for (std::size_t i = 1; i < metadata.size(); ++i) {
-    names.push_back(std::string(
-        metadata[i]->Find("args")->Find("name")->StringOr("")));
-  }
-  const std::vector<std::string> expected = {"main", "worker/1", "worker/2",
-                                             "worker/3"};
-  EXPECT_EQ(names, expected);
-
-  // One span per worker, each on its own track.
-  const auto spans = EventsWithPhase(doc, "X");
-  ASSERT_EQ(spans.size(), 3u);
-  std::vector<double> tids;
-  for (const JsonValue* span : spans) {
-    EXPECT_EQ(std::string(span->Find("name")->StringOr("")), "work/item");
-    tids.push_back(span->Find("tid")->NumberOr(-1.0));
-  }
-  std::sort(tids.begin(), tids.end());
-  EXPECT_EQ(std::unique(tids.begin(), tids.end()), tids.end());
-  EXPECT_EQ(tracer.dropped_events(), 0u);
-  EXPECT_EQ(tracer.SnapshotFlight("deadline").events.size(), 3u);
-}
-
-TEST(Tracer, UnregisteredThreadSpansAreDroppedAndCounted) {
-  Tracer tracer;
-  std::thread stranger([&tracer] {
-    // Never registered: the span and the instant are dropped, not raced
-    // onto another thread's track.
-    { ScopedSpan span(&tracer, "work/item", "test"); }
-    tracer.Instant("work/tick", "test");
-  });
-  stranger.join();
-
-  EXPECT_EQ(tracer.dropped_events(), 2u);
-  JsonValue doc;
-  ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc));
-  EXPECT_EQ(doc.Find("mbta")->Find("tracks")->NumberOr(-1.0), 1.0);
-  EXPECT_EQ(doc.Find("mbta")->Find("events")->NumberOr(-1.0), 0.0);
-  EXPECT_EQ(doc.Find("mbta")->Find("dropped_events")->NumberOr(-1.0), 2.0);
-  EXPECT_TRUE(tracer.SnapshotFlight("deadline").events.empty());
 }
 
 TEST(Tracer, WriteFileRoundTrips) {
